@@ -88,7 +88,6 @@ func run(args []string, out io.Writer) error {
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (<=0: GOMAXPROCS); tables are byte-identical at any setting")
 		arena     = fs.String("arena-budget", "", "shared trace-arena byte budget (e.g. 256MiB, 1g; off/0 disables); tables are byte-identical at any setting")
 		flightrec = fs.Bool("flightrec", false, "arm the per-cell pipeline flight recorder (failure forensics)")
-		noSkip    = fs.Bool("no-skip", false, "step every simulated cycle instead of event-driven fast-forward; tables are byte-identical either way")
 		inject    = fs.String("inject", "", "poison one workload's cells: mode:workload[:after] with mode panic|badinst|wedge")
 		repro     = fs.String("repro", "", "replay a repro bundle file instead of running the suite")
 		reproDir  = fs.String("repro-dir", ".", "directory for repro bundles written on cell failure")
@@ -130,7 +129,6 @@ func run(args []string, out io.Writer) error {
 	spec.Seed = *seed
 	spec.Parallel = *parallel
 	spec.FlightRecorder = *flightrec
-	spec.NoSkip = *noSkip
 	spec.CPIStack = *cpistack
 	budget, err := experiments.ParseArenaBudget(*arena)
 	if err != nil {

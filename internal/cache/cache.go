@@ -1,13 +1,7 @@
-// Package cache implements the set-associative cache models used by the
-// simulator. Two views are provided over the same geometry and replacement
-// machinery:
-//
-//   - Level: a tag/state model for the timing simulator. It tracks presence,
-//     dirtiness and LRU order, and reports evictions so higher layers (the
-//     load-all line buffers of internal/core) can keep themselves coherent.
-//   - Functional: a data-carrying write-back cache over a backing Store,
-//     used by correctness tests to prove that the port-efficiency machinery
-//     (store combining, line buffering) never corrupts the memory image.
+// Package cache implements the set-associative cache model used by the
+// simulator. Level is a tag/state model for the timing simulator: it tracks
+// presence, dirtiness and LRU order, and reports evictions so higher layers
+// (the load-all line buffers of internal/core) can keep themselves coherent.
 //
 // All caches are write-back, write-allocate, with true-LRU replacement, as
 // in the paper's R10000-class memory system.

@@ -65,8 +65,8 @@ func FuzzStoreBufferInsert(f *testing.F) {
 				if uint64(len(done)) > b.Drains() {
 					t.Fatalf("expired %d entries with only %d drains issued", len(done), b.Drains())
 				}
-				if b.NextExpiry() <= now {
-					t.Fatalf("NextExpiry %d not past cycle %d after Expire", b.NextExpiry(), now)
+				if b.nextExpiry <= now {
+					t.Fatalf("nextExpiry %d not past cycle %d after Expire", b.nextExpiry, now)
 				}
 			}
 		}

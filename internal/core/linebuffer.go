@@ -155,22 +155,6 @@ func (s *LineBufferSet) InvalidateAll() {
 	}
 }
 
-// NextEvent reports the soonest cycle after now at which a pending fill's
-// data becomes available in some buffer, or NeverEvent when every latched
-// chunk is already readable. Line-buffer fills have no effect until a load
-// looks one up, so this only ever shortens a skip, never invalidates one.
-//
-//portlint:hotpath
-func (s *LineBufferSet) NextEvent(now uint64) uint64 {
-	next := NeverEvent
-	for i := range s.readyAt {
-		if s.valid[i] && s.readyAt[i] > now && s.readyAt[i] < next {
-			next = s.readyAt[i]
-		}
-	}
-	return next
-}
-
 // Reset empties the set and zeroes the statistics, restoring the
 // just-constructed state (unlike InvalidateAll, which counts the
 // invalidations as simulated events).

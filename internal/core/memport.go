@@ -565,54 +565,6 @@ func (p *MemPort) DrainAll(now uint64) uint64 {
 	return last
 }
 
-// NextEvent reports the soonest cycle at or after now at which the port
-// subsystem acts on its own: refill debt or queued prefetches make every
-// cycle active; otherwise the candidates are an in-flight drain completing
-// (a buffer slot frees), the drain candidate becoming willing to compete for
-// a slot, a scheduled refill window arriving, and a line-buffer fill landing.
-// Values at or below now mean "do not skip"; see NextEventer.
-//
-//portlint:hotpath
-func (p *MemPort) NextEvent(now uint64) uint64 {
-	if p.refillDebt > 0 || p.pfCount > 0 {
-		return now
-	}
-	for _, d := range p.bankDebt {
-		if d > 0 {
-			return now
-		}
-	}
-	next := p.sb.NextExpiry()
-	if !p.cfg.FaultStuckDrain {
-		if t := p.sb.NextDrainEligible(now); t < next {
-			next = t
-		}
-	}
-	for i := range p.pendingRefills {
-		if p.pendingRefills[i].at < next {
-			next = p.pendingRefills[i].at
-		}
-	}
-	if t := p.lbs.NextEvent(now); t < next {
-		next = t
-	}
-	return next
-}
-
-// SkipCycles accounts for n consecutive inert cycles in one step. It must
-// leave the port statistics exactly as n idle BeginCycle/EndCycle/
-// FinishCycle rounds would have: the cycle counter advances, the grant
-// histogram records n zero-grant cycles, and the store buffer logs n
-// occupancy samples at its (unchanged) depth. The caller guarantees the
-// cycles are inert — NextEvent returned a cycle past the whole gap.
-//
-//portlint:hotpath
-func (p *MemPort) SkipCycles(n uint64) {
-	p.cycles += n
-	p.grantHist.ObserveN(0, n)
-	p.sb.SkipOccupancySamples(n)
-}
-
 // Report writes the port subsystem's statistics into a stats.Set under the
 // "port." prefix.
 func (p *MemPort) Report(s *stats.Set) {

@@ -26,7 +26,7 @@ func arenaFor(t *testing.T, name string, seed int64, insts uint64) *trace.Arena 
 // must produce the identical Result, counter for counter, as simulating
 // the live generator through the per-instruction fetch loop. Covered
 // machines include the wrong-path-fetch model (whose stall-time I-cache
-// pollution depends on exact group endings) and both skip modes.
+// pollution depends on exact group endings).
 func TestRunCursorMatchesGenerator(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
@@ -35,43 +35,36 @@ func TestRunCursorMatchesGenerator(t *testing.T) {
 	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort(), wrongPath}
 	for _, m := range machines {
 		m := m
-		for _, noSkip := range []bool{false, true} {
-			name := m.Name
-			if noSkip {
-				name += "/noskip"
-			}
-			t.Run(name, func(t *testing.T) {
-				for _, wl := range []string{"compress", "database"} {
-					gen, err := workload.New(mustProfile(t, wl), 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := Options{
-						MaxInstructions: insts,
-						DeadlineCycles:  DeadlineFor(insts),
-						StallCycles:     DefaultStallCycles,
-						NoSkip:          noSkip,
-					}
-					liveCore, err := New(&m, gen)
-					if err != nil {
-						t.Fatal(err)
-					}
-					live, err := liveCore.Run(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cursorCore, err := New(&m, arenaFor(t, wl, 42, insts).NewCursor())
-					if err != nil {
-						t.Fatal(err)
-					}
-					replay, err := cursorCore.Run(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					compareResults(t, wl, live, replay)
+		t.Run(m.Name, func(t *testing.T) {
+			for _, wl := range []string{"compress", "database"} {
+				gen, err := workload.New(mustProfile(t, wl), 42)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				opts := Options{
+					MaxInstructions: insts,
+					DeadlineCycles:  DeadlineFor(insts),
+					StallCycles:     DefaultStallCycles,
+				}
+				liveCore, err := New(&m, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live, err := liveCore.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursorCore, err := New(&m, arenaFor(t, wl, 42, insts).NewCursor())
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay, err := cursorCore.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, wl, live, replay)
+			}
+		})
 	}
 }
 

@@ -70,8 +70,8 @@ type robEntry struct {
 	dispatchedAt uint64
 
 	// readyCache memoises the entry's operand-readiness (operandsReadyAt,
-	// or the address operand alone for stores) so the per-cycle issue and
-	// skip scans compare one cached word instead of re-reading the ready
+	// or the address operand alone for stores) so the per-cycle issue
+	// scans compare one cached word instead of re-reading the ready
 	// files. The cache is valid while readyGen matches Core.readyGen: a
 	// finite value is final until a memory-order squash bumps the global
 	// generation, and a cached never is parked on the blocking register's
@@ -142,26 +142,16 @@ type Options struct {
 	// Recorder, when non-nil, receives cycle-stamped pipeline events
 	// (fetch, issue, port grants, store drains, commits, stalls) for
 	// failure forensics. A nil recorder costs one nil test per event
-	// site. Arming a recorder also disables cycle skipping (see NoSkip):
-	// the recorder's contract is one timeline entry per interesting cycle,
-	// and stepping every cycle is what keeps its stamps trivially honest.
+	// site.
 	Recorder *diag.Recorder
-	// NoSkip forces the run to step every cycle instead of fast-forwarding
-	// over provably inert stretches (the event-driven clock). Results are
-	// byte-identical either way — NoSkip exists as an escape hatch and as
-	// the reference timeline the equivalence tests and the CI table diff
-	// compare against.
-	NoSkip bool
 	// CPIStack, when non-nil, arms cycle accounting: every simulated
 	// cycle is attributed to exactly one cpustack bucket (see acct.go for
 	// the precedence order), and Run verifies the conservation law —
 	// bucket sum == cycle count — before returning. The stack is caller-
 	// owned so a live observer (the /campaign endpoint) can snapshot it
-	// mid-run; Result.CPIStack carries the final frozen stack. Accounting
-	// does not disable cycle skipping: the gap classifier reproduces the
-	// stepped attribution exactly, so the stack, like every counter, is
-	// byte-identical with skip on or off. A nil stack costs one pointer
-	// test per stepped cycle and nothing inside step().
+	// mid-run; Result.CPIStack carries the final frozen stack. Arming it
+	// changes no counter. A nil stack costs one pointer test per cycle and
+	// nothing inside step().
 	CPIStack *cpustack.Stack
 }
 
@@ -540,33 +530,20 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 var ErrDeadline = errors.New("cpu: deadline exceeded; possible pipeline deadlock")
 
 // ErrStall reports that the forward-progress watchdog fired: no instruction
-// committed for Options.StallCycles consecutive stepped events. The budget
-// is spent on step() invocations, not raw cycles, because the event-driven
-// clock legitimately jumps thousands of cycles in one step — a DRAM-gap
-// skip must not read as a wedge, and a wedge must not hide behind skipped
-// cycles. With skipping off the two notions coincide exactly.
+// committed for Options.StallCycles consecutive cycles.
 var ErrStall = errors.New("cpu: no forward progress")
 
 // Run simulates until the stream ends or opts.MaxInstructions commit, then
-// drains the pipeline and the store buffer, and returns the result.
-//
-// After every stepped cycle, unless skipping is disabled (opts.NoSkip, or a
-// recorder is armed), the loop asks nextEventCycle for the next cycle that
-// can do work and fast-forwards the clock to it; skipTo applies the batched
-// idle-cycle counters so the results are byte-identical to stepping. The
-// deadline stays cycle-denominated — a skip target is clamped to
-// DeadlineCycles+1 so the guard fires at the same cycle it would have under
-// stepping.
+// drains the pipeline and the store buffer, and returns the result. The
+// clock steps one cycle at a time.
 func (c *Core) Run(opts Options) (*Result, error) {
 	c.maxInsts = opts.MaxInstructions
 	c.rec = opts.Recorder
 	c.port.SetRecorder(opts.Recorder)
 	c.acct = opts.CPIStack
 	c.lastBucket = cpustack.NumBuckets // invalid: the first classification always records
-	skip := !opts.NoSkip && opts.Recorder == nil
 	lastProgress := c.cycle
 	lastCommitted := c.committed
-	steps := uint64(0) // stepped events since the last commit
 	var snap acctSnap
 	for {
 		if c.drained() {
@@ -576,9 +553,9 @@ func (c *Core) Run(opts Options) (*Result, error) {
 			return nil, fmt.Errorf("%w (cycle %d, committed %d): %s",
 				ErrDeadline, c.cycle, c.committed, c.StallDiagnosis())
 		}
-		if opts.StallCycles > 0 && steps > opts.StallCycles {
-			return nil, fmt.Errorf("%w (no commit since cycle %d; now cycle %d after %d stepped events, committed %d): %s",
-				ErrStall, lastProgress, c.cycle, steps, c.committed, c.StallDiagnosis())
+		if opts.StallCycles > 0 && c.cycle-lastProgress > opts.StallCycles { //portlint:ignore cyclemath lastProgress is an earlier reading of the monotonic clock
+			return nil, fmt.Errorf("%w (no commit since cycle %d; now cycle %d, committed %d): %s",
+				ErrStall, lastProgress, c.cycle, c.committed, c.StallDiagnosis())
 		}
 		if c.acct == nil {
 			c.step()
@@ -587,20 +564,9 @@ func (c *Core) Run(opts Options) (*Result, error) {
 			c.step()
 			c.acctStep(&snap)
 		}
-		steps++
 		if c.committed != lastCommitted {
 			lastCommitted = c.committed
 			lastProgress = c.cycle
-			steps = 0
-		}
-		if skip && !c.drained() {
-			target := c.nextEventCycle()
-			if opts.DeadlineCycles > 0 && target > opts.DeadlineCycles+1 {
-				target = opts.DeadlineCycles + 1
-			}
-			if target > c.cycle {
-				c.skipTo(target)
-			}
 		}
 	}
 	// Account the final store-buffer drain. The tail past the last stepped
@@ -916,7 +882,7 @@ func (c *Core) complete() {
 // noteIssued records that the entry at ROB slice index idx entered
 // stateIssued with completion time doneAt (possibly never, for an
 // address-issued store awaiting its data producer), keeping complete's
-// worklist and skip bookkeeping exact.
+// worklist exact.
 //
 //portlint:hotpath
 func (c *Core) noteIssued(idx int32, doneAt uint64) {

@@ -19,8 +19,6 @@ func (c *Core) dispatch() {
 		}
 		f := c.fbFront()
 		in := &f.inst
-		// Queue-occupancy and physical-register gating, shared with the
-		// event-driven skip gate so the two can never disagree.
 		if !c.dispatchGatesOK(in) {
 			return
 		}
@@ -79,6 +77,42 @@ func (c *Core) dispatch() {
 		c.robCount++
 		c.fbPop()
 	}
+}
+
+// dispatchGatesOK reports whether an instruction at the front of the fetch
+// buffer clears dispatch's resource gates this cycle: issue-queue or
+// load/store-queue occupancy and destination-register availability.
+//
+//portlint:hotpath
+func (c *Core) dispatchGatesOK(in *isa.Inst) bool {
+	switch {
+	case in.Class == isa.Load:
+		if c.lqCount >= c.cfg.Core.LoadQueueEntries {
+			return false
+		}
+	case in.Class == isa.Store:
+		if c.sqCount >= c.cfg.Core.StoreQueueEntries {
+			return false
+		}
+	case in.Class.IsFPOp():
+		if c.fpQCount >= c.cfg.Core.FPIQEntries {
+			return false
+		}
+	default:
+		if c.intQCount >= c.cfg.Core.IntIQEntries {
+			return false
+		}
+	}
+	if in.Dest != isa.RegZero {
+		if in.Dest.IsFP() {
+			if len(c.fpFree) == 0 {
+				return false
+			}
+		} else if len(c.intFree) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // renameSrc resolves a source register to its current physical mapping.
@@ -152,7 +186,7 @@ func (c *Core) readyAt(e *robEntry, idx int32) uint64 {
 
 // readyAtSlow recomputes and refills a missed readiness cache, parking the
 // entry on a waiter list when a producer is unscheduled; split from readyAt
-// so the cache-hit path inlines into the issue and skip scans.
+// so the cache-hit path inlines into the issue scans.
 //
 //portlint:hotpath
 func (c *Core) readyAtSlow(e *robEntry, idx int32) uint64 {

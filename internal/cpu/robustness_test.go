@@ -124,6 +124,56 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
+// coldLoadChain builds a serial chain of loads: each load's address operand
+// is the previous load's destination, and every address lands on a fresh
+// page 8KB further on, so each commit waits out a DTLB walk plus a full
+// memory-hierarchy miss (~60+ cycles) with nothing else to do.
+func coldLoadChain(n int) []isa.Inst {
+	insts := make([]isa.Inst, n)
+	for i := range insts {
+		insts[i] = isa.Inst{
+			PC:    uint64(0x1000 + (i%8)*4),
+			Class: isa.Load,
+			Dest:  1,
+			Src1:  1,
+			Addr:  0x4000_0000 + uint64(i)*0x2000,
+			Size:  8,
+		}
+	}
+	return insts
+}
+
+// TestWatchdogCountsCycles pins the watchdog's unit: Options.StallCycles
+// counts cycles without a commit. A serial cold-load chain opens >50-cycle
+// commit gaps, so a 40-cycle budget must trip ErrStall mid-gap, while the
+// default budget lets the same chain complete.
+func TestWatchdogCountsCycles(t *testing.T) {
+	m := config.Baseline()
+	insts := coldLoadChain(30)
+	opts := Options{StallCycles: 40, DeadlineCycles: 1_000_000}
+
+	c, err := New(&m, trace.NewSliceStream(insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(opts); !errors.Is(err, ErrStall) {
+		t.Errorf("err = %v, want ErrStall (each cold load stalls commit for >40 cycles)", err)
+	}
+
+	opts.StallCycles = DefaultStallCycles
+	c, err = New(&m, trace.NewSliceStream(insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(opts)
+	if err != nil {
+		t.Fatalf("default watchdog budget: %v", err)
+	}
+	if res.Instructions != uint64(len(insts)) {
+		t.Errorf("committed %d insts, want %d", res.Instructions, len(insts))
+	}
+}
+
 // TestStallDiagnosisOnDrainedCore checks the healthy-core rendering.
 func TestStallDiagnosisOnDrainedCore(t *testing.T) {
 	m := config.Baseline()

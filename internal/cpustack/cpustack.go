@@ -3,8 +3,7 @@
 // issue-blocked causes, memory-system waits, store-buffer back-pressure,
 // commit latency) plus the conservation law that makes a CPI stack
 // trustworthy — every simulated cycle lands in exactly one bucket, so the
-// bucket sum equals the cycle count, exactly, whether the core stepped
-// every cycle or fast-forwarded over inert gaps.
+// bucket sum equals the cycle count, exactly.
 //
 // The package is deliberately tiny and dependency-free: the model
 // (internal/cpu) charges buckets on its own decision points, the
@@ -59,9 +58,9 @@ const (
 	// last execution cycles) and the machine was waiting out the
 	// completion-to-commit latency.
 	CommitStall
-	// SkippedInert — a fast-forwarded gap the gap classifier could not
-	// attribute to a specific head-of-ROB cause. Kept as its own bucket so
-	// an attribution hole is visible instead of polluting a named cause.
+	// SkippedInert — not charged since cycle skipping was removed: every
+	// cycle is stepped and classified. The bucket stays so manifests,
+	// /metrics and stored cells keep their schema; it always reads 0.
 	SkippedInert
 
 	// NumBuckets is the bucket count; valid buckets are < NumBuckets.

@@ -55,11 +55,6 @@ type Spec struct {
 	// warm. Store trouble never fails a run: corrupt entries quarantine and
 	// re-simulate, a broken disk degrades the store to store-less operation.
 	Store *cellstore.Store
-	// NoSkip steps every simulated cycle instead of letting the core
-	// fast-forward over inert stretches (cpu.Options.NoSkip). Skipping is
-	// table-neutral by construction; this escape hatch exists for the CI
-	// byte-identity diff and for timing forensics.
-	NoSkip bool
 	// ArenaBudget bounds the shared trace-arena registry in bytes: each
 	// (profile, seed) dynamic trace is materialised once and replayed by
 	// every cell that needs it, falling back to live generation for cells
@@ -651,7 +646,6 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 			DeadlineCycles:  cpu.DeadlineFor(r.spec.Insts),
 			StallCycles:     cpu.DefaultStallCycles,
 			Recorder:        rec,
-			NoSkip:          r.spec.NoSkip,
 			CPIStack:        stack,
 		})
 		if err != nil {

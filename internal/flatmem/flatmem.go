@@ -1,7 +1,7 @@
 // Package flatmem provides a sparse byte-addressable memory used as the
-// reference model in correctness tests and as the backing store of
-// functional caches. It sits at the bottom of the package graph so both
-// internal/cache and internal/mem can depend on it.
+// reference model in correctness tests (the store buffer's byte-exactness
+// property tests replay against it). It sits at the bottom of the package
+// graph so any package's tests can depend on it.
 package flatmem
 
 // pageBits sizes the lazily allocated pages.

@@ -192,6 +192,14 @@ func NewSystem(m *config.Machine) (*System, error) {
 // DRAMAccesses returns the number of DRAM accesses (fills plus writebacks).
 func (s *System) DRAMAccesses() uint64 { return s.dram.Accesses() }
 
+// DRAMBusy reports whether the DRAM channel is occupied at cycle now —
+// an access issued now would queue behind the one in flight. The cycle
+// accounting layer uses it to split a memory-bound head-of-ROB wait into
+// bandwidth (channel busy) versus latency (fill in flight, channel idle).
+//
+//portlint:hotpath
+func (s *System) DRAMBusy(now uint64) bool { return s.dram.nextFree > now }
+
 // Reset restores the whole hierarchy — caches, TLBs, MSHR files, DRAM — to
 // its just-constructed state, reusing every backing array. Pooled
 // simulations call this between cells so a campaign does not reallocate
