@@ -45,10 +45,12 @@ func storeFooter(t *testing.T, out string) (restored, simulated int) {
 
 // TestStoreColdWarmOffByteIdentical is the CLI-level durability contract:
 // the rendered tables must match byte for byte with no store, a cold store
-// and a warm resumed store, and the warm run must restore every cell.
+// and a warm resumed store, and the warm run must restore every cell —
+// F7's mutated profiles and A6's multiprogrammed mixes included — without
+// simulating a cycle or building an arena.
 func TestStoreColdWarmOffByteIdentical(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
-	base := []string{"-quick", "-insts", "4000", "-only", "T2,F1", "-parallel", "2"}
+	base := []string{"-quick", "-insts", "4000", "-only", "T2,F1,F7,A6", "-parallel", "2"}
 
 	off, err := runPB(t, base...)
 	if err != nil {
@@ -76,6 +78,14 @@ func TestStoreColdWarmOffByteIdentical(t *testing.T) {
 	if warmSim != 0 || warmRestored != coldSim {
 		t.Errorf("warm run footer = %d restored, %d simulated; want %d restored, 0 simulated",
 			warmRestored, warmSim, coldSim)
+	}
+	for _, line := range strings.Split(warm, "\n") {
+		if strings.HasPrefix(line, "simulated ") {
+			t.Errorf("warm run simulated cycles: %q", line)
+		}
+	}
+	if !strings.Contains(warm, "\narenas: 0 built,") {
+		t.Errorf("warm run built arenas:\n%s", warm)
 	}
 }
 

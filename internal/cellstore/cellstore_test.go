@@ -1,6 +1,8 @@
 package cellstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -129,6 +131,7 @@ func TestKeyIdentity(t *testing.T) {
 		func(k *Key) { k.Seed = 43 },
 		func(k *Key) { k.Insts = 50_000 },
 		func(k *Key) { k.Fault = "panic:compress:100" },
+		func(k *Key) { k.Stream = "0123456789abcdef" },
 	}
 	seen := map[string]bool{base.ID(): true}
 	for i, mut := range mutations {
@@ -138,6 +141,56 @@ func TestKeyIdentity(t *testing.T) {
 			t.Errorf("mutation %d did not change the key ID", i)
 		}
 		seen[k.ID()] = true
+	}
+}
+
+// TestPreStreamEntriesMiss plants an entry as builds before Key.Stream
+// wrote it — same coordinates, no stream field — and asserts no key of the
+// current shape can read it: the old file's content address differs, so
+// the cell misses cleanly instead of restoring or quarantining.
+func TestPreStreamEntriesMiss(t *testing.T) {
+	dir := t.TempDir()
+	type preStreamKey struct {
+		ConfigHash string `json:"config_hash"`
+		Machine    string `json:"machine"`
+		Workload   string `json:"workload"`
+		Seed       int64  `json:"seed"`
+		Insts      uint64 `json:"insts"`
+	}
+	k := testKey("compress")
+	old := preStreamKey{k.ConfigHash, k.Machine, k.Workload, k.Seed, k.Insts}
+	doc, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(doc)
+	body, err := json.Marshal(struct {
+		Key    preStreamKey    `json:"key"`
+		Result json.RawMessage `json:"result"`
+	}{old, json.RawMessage(`{"cycles":1}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(&envelope{Schema: Schema, Checksum: bodyChecksum(body), Entry: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, hex.EncodeToString(sum[:16])+entrySuffix)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir, Options{})
+	for _, stream := range []string{"", "0123456789abcdef"} {
+		k.Stream = stream
+		if got, err := s.Get(k); got != nil || err != nil {
+			t.Errorf("stream %q: Get = %+v, %v; want a plain miss", stream, got, err)
+		}
+	}
+	if st := s.Stats(); st.Misses != 2 || st.Quarantined != 0 {
+		t.Errorf("stats = %+v, want 2 misses and no quarantine", st)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("pre-stream entry disturbed: %v", err)
 	}
 }
 

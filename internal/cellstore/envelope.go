@@ -1,7 +1,7 @@
 // Package cellstore is the durable, content-addressed store behind the
 // experiment engine's in-process memo: one file per finished cell, keyed
-// by the (machine-config hash, workload, seed, insts) identity the
-// manifest layer computes, so a killed campaign resumes with only its
+// by the (machine-config hash, workload, stream fingerprint, seed, insts)
+// identity of the cell, so a killed campaign resumes with only its
 // unfinished cells re-simulated.
 //
 // The store is deliberately ignorant of the simulator: entries carry an
@@ -47,9 +47,17 @@ type Key struct {
 	// parameter AND the name (the name is inside the config JSON), but
 	// keeping it in the key makes entries self-describing under Scan.
 	Machine string `json:"machine"`
-	// Workload is the built-in workload name. Ad-hoc mutated profiles are
-	// never stored — their identity lives outside the config hash.
+	// Workload is the cell's display name: a built-in workload
+	// (compress), a mutated profile (database-k-low) or a multiprogrammed
+	// mix (compress-x8). It keeps entries self-describing under Scan; the
+	// stream's identity is Stream.
 	Workload string `json:"workload"`
+	// Stream fingerprints the cell's stream recipe — every profile
+	// parameter, the process count and the scheduling quantum — so an
+	// edited profile misses instead of restoring results it no longer
+	// produces. The experiments layer computes it; the store treats it
+	// as an opaque string.
+	Stream string `json:"stream"`
 	// Seed and Insts pin the generator seed and instruction budget.
 	Seed  int64  `json:"seed"`
 	Insts uint64 `json:"insts"`

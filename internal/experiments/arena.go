@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 
-	"portsim/internal/config"
 	"portsim/internal/cpu"
 	"portsim/internal/trace"
 	"portsim/internal/workload"
@@ -91,16 +89,13 @@ func newArenaRegistry(budget int64) *arenaRegistry {
 	return &arenaRegistry{budget: budget, entries: make(map[arenaKey]*arenaEntry)}
 }
 
-// acquire returns a cursor over the materialised (profile, seed) trace of n
-// instructions plus a release closure, or (nil, nil, nil) when the byte
-// budget forces this cell onto live generation. Concurrent acquires of the
-// same key share one build: the first caller materialises, the rest wait.
-func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*trace.Cursor, func(), error) {
-	profJSON, err := json.Marshal(prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := arenaKey{profile: string(profJSON), seed: seed, n: n}
+// acquire returns a cursor over the materialised trace of n instructions
+// that the recipe's profile generates from seed, plus a release closure, or
+// (nil, nil, nil) when the byte budget forces this cell onto live
+// generation. Concurrent acquires of the same key share one build: the
+// first caller materialises, the rest wait.
+func (ar *arenaRegistry) acquire(rc *recipe, seed int64, n uint64) (*trace.Cursor, func(), error) {
+	key := arenaKey{profile: rc.profJSON, seed: seed, n: n}
 	need := int64(n) * trace.BytesPerInst
 	ar.mu.Lock()
 	if e, ok := ar.entries[key]; ok {
@@ -132,7 +127,7 @@ func (ar *arenaRegistry) acquire(prof workload.Profile, seed int64, n uint64) (*
 	ar.builds++
 	ar.mu.Unlock()
 
-	gen, genErr := workload.New(prof, seed)
+	gen, genErr := workload.New(rc.prof, seed)
 	if genErr != nil {
 		e.err = genErr
 	} else {
@@ -207,73 +202,6 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 // per-cell instruction budget plus the core's read-ahead slack. One shared
 // length keeps single-program and multiprogram cells on the same arenas.
 func (r *Runner) arenaLen() uint64 { return r.spec.Insts + arenaSlack }
-
-// profileStream returns the cell's instruction stream: a cursor over the
-// shared arena when the registry can hold the trace, the live generator
-// otherwise. The release closure is nil on the live path.
-func (r *Runner) profileStream(prof workload.Profile, seed int64) (trace.Stream, func(), error) {
-	if r.arenas != nil {
-		cur, release, err := r.arenas.acquire(prof, seed, r.arenaLen())
-		if err != nil {
-			return nil, nil, err
-		}
-		if cur != nil {
-			return cur, release, nil
-		}
-	}
-	gen, err := workload.New(prof, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gen, nil, nil
-}
-
-// runMultiprogram simulates one multiprogrammed cell. When the registry
-// holds arenas for every process's trace, the quantum interleave replays
-// over per-process cursors — instruction-identical to the live
-// NewMultiprogram stream (golden-tested in internal/workload) — otherwise
-// the cell falls back to live generation wholesale.
-func (r *Runner) runMultiprogram(m config.Machine, prof workload.Profile, processes, quantumMean int, what string) (*cpu.Result, error) {
-	if r.arenas != nil {
-		cursors := make([]*trace.Cursor, 0, processes)
-		releases := make([]func(), 0, processes)
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
-		complete := true
-		for i := 0; i < processes; i++ {
-			cur, rel, err := r.arenas.acquire(prof, r.spec.Seed+int64(i)*workload.SeedStride, r.arenaLen())
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			if cur == nil {
-				complete = false
-				break
-			}
-			cursors = append(cursors, cur)
-			releases = append(releases, rel)
-		}
-		if complete {
-			mp, err := workload.NewMultiprogramReplay(cursors, quantumMean, r.spec.Seed)
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			res, err := r.runStream(m, mp, what)
-			releaseAll()
-			return res, err
-		}
-		releaseAll()
-	}
-	mp, err := workload.NewMultiprogram(prof, processes, quantumMean, r.spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return r.runStream(m, mp, what)
-}
 
 // ParseArenaBudget parses a -arena-budget flag value: a byte size with an
 // optional binary or decimal unit suffix ("256MiB", "1g", "64000000"),

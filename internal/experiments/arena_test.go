@@ -1,14 +1,10 @@
 package experiments
 
-import (
-	"testing"
-
-	"portsim/internal/workload"
-)
+import "testing"
 
 // arenaTestSpec is a small campaign that still covers both runner stream
-// paths: single-program cells (F1 memoised sweep) and the multiprogrammed
-// interleave (A6, never memoised).
+// paths: single-program cells (F1) and the multiprogrammed interleave
+// (A6).
 func arenaTestSpec(budget int64) Spec {
 	return Spec{Workloads: []string{"compress"}, Insts: 6_000, Seed: 42, ArenaBudget: budget}
 }
@@ -95,22 +91,22 @@ func TestArenaRegistrySharing(t *testing.T) {
 // TestArenaRegistryEviction: idle arenas are dropped, least recently used
 // first, to make room inside the budget; held arenas are never evicted.
 func TestArenaRegistryEviction(t *testing.T) {
-	prof, ok := workload.ByName("compress")
-	if !ok {
-		t.Fatal("compress workload missing")
+	rc, err := namedRecipe("compress")
+	if err != nil {
+		t.Fatal(err)
 	}
 	const n = 1_000
 	reg := newArenaRegistry(2 * n * 30) // room for two arenas
-	c1, rel1, err := reg.acquire(prof, 1, n)
+	c1, rel1, err := reg.acquire(rc, 1, n)
 	if err != nil || c1 == nil {
 		t.Fatalf("acquire seed 1: %v %v", c1, err)
 	}
-	c2, rel2, err := reg.acquire(prof, 2, n)
+	c2, rel2, err := reg.acquire(rc, 2, n)
 	if err != nil || c2 == nil {
 		t.Fatalf("acquire seed 2: %v %v", c2, err)
 	}
 	// Both held: a third must fall back, not evict.
-	c3, _, err := reg.acquire(prof, 3, n)
+	c3, _, err := reg.acquire(rc, 3, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +115,7 @@ func TestArenaRegistryEviction(t *testing.T) {
 	}
 	rel1()
 	// Seed 1 idle: now the third fits by evicting it.
-	c3, rel3, err := reg.acquire(prof, 3, n)
+	c3, rel3, err := reg.acquire(rc, 3, n)
 	if err != nil || c3 == nil {
 		t.Fatalf("acquire seed 3 after release: %v %v", c3, err)
 	}
@@ -129,7 +125,7 @@ func TestArenaRegistryEviction(t *testing.T) {
 	}
 	// Seed 2 was held throughout: a re-acquire is a hit, not a rebuild.
 	before := reg.stats().Builds
-	c2b, rel2b, err := reg.acquire(prof, 2, n)
+	c2b, rel2b, err := reg.acquire(rc, 2, n)
 	if err != nil || c2b == nil {
 		t.Fatalf("re-acquire seed 2: %v %v", c2b, err)
 	}

@@ -24,12 +24,19 @@ type CellError struct {
 	// Machine is the full configuration of the failed cell, as simulated
 	// (fault knobs included), serialisable with Machine.ToJSON.
 	Machine config.Machine
-	// Workload is the workload (or mutated-profile) name.
+	// Workload is the cell's display name (compress, database-k-low,
+	// compress-x2).
 	Workload string
-	// Profile is set when the cell ran an ad-hoc mutated profile rather
-	// than a named built-in workload (the kernel-intensity sweep); a repro
-	// bundle needs it to rebuild the same stream.
-	Profile *workload.Profile
+	// Profile, Processes and Quantum are the cell's stream recipe: the
+	// profile every process generates from, the process count and the
+	// scheduling quantum (zero for a single-program stream). A repro
+	// bundle carries them to rebuild the same stream, which a mutated
+	// profile (database-k-low) or a multiprogrammed mix (compress-x2)
+	// cannot be rebuilt from by name. Profile is nil when the failure
+	// happened outside any cell's simulation.
+	Profile   *workload.Profile
+	Processes int
+	Quantum   int
 	// Seed and Insts are the generator seed and instruction budget.
 	Seed  int64
 	Insts uint64

@@ -502,8 +502,12 @@ func F7KernelIntensity(r *Runner) ([]F7Row, *stats.Table, error) {
 		} else {
 			prof.Kernel.EveryMean = pt.every
 		}
+		rc, err := newRecipe(prof, 1, 0)
+		if err != nil {
+			return nil, nil, err
+		}
 		for _, m := range machines {
-			cells = append(cells, func() (*cpu.Result, error) { return r.runProfile(m, prof) })
+			cells = append(cells, r.recipeCell(m, rc))
 		}
 	}
 	results, err := r.runAll(cells)
@@ -845,10 +849,12 @@ func A6Multiprogramming(r *Runner) ([]A6Row, *stats.Table, error) {
 	machines := []config.Machine{config.Baseline(), config.BestSingle(), config.DualPort()}
 	var cells []cell
 	for _, n := range levels {
+		rc, err := newRecipe(prof, n, quantum)
+		if err != nil {
+			return nil, nil, err
+		}
 		for _, m := range machines {
-			cells = append(cells, func() (*cpu.Result, error) {
-				return r.runMultiprogram(m, prof, n, quantum, fmt.Sprintf("compress-x%d", n))
-			})
+			cells = append(cells, r.recipeCell(m, rc))
 		}
 	}
 	results, err := r.runAll(cells)

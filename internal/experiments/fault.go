@@ -30,15 +30,16 @@ const (
 )
 
 // Fault describes one injected failure for robustness testing: every cell
-// whose workload (or profile) name matches Workload is poisoned the same
-// way; all other cells run clean. The fault is applied inside the
+// whose display name — a workload (compress), a mutated profile
+// (database-k-low) or a multiprogrammed mix (compress-x2) — matches
+// Workload is poisoned the same way; all other cells run clean. The fault is applied inside the
 // simulation of the cell — after memo-key computation — so duplicate
 // configurations across experiments share one contained failure exactly as
 // they would share one result.
 type Fault struct {
 	// Mode is the kind of failure to inject.
 	Mode FaultMode `json:"mode"`
-	// Workload is the workload/profile name to poison.
+	// Workload is the cell display name to poison.
 	Workload string `json:"workload"`
 	// After is how many instructions the stream delivers cleanly before
 	// the fault fires (panic and badinst modes).

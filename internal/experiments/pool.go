@@ -12,14 +12,18 @@ import (
 )
 
 // cell is one schedulable simulation of an experiment grid: a (machine,
-// workload) pair, a mutated profile, or an ad-hoc stream. Cells must be
-// independent and deterministic — the pool runs them in any order and
-// merges results by submission index.
+// stream recipe) pair. Cells must be independent and deterministic — the
+// pool runs them in any order and merges results by submission index.
 type cell func() (*cpu.Result, error)
 
-// runCell wraps the memoised Run as a cell.
+// runCell wraps the memoised Run of a named workload as a cell.
 func (r *Runner) runCell(m config.Machine, workload string) cell {
 	return func() (*cpu.Result, error) { return r.Run(m, workload) }
+}
+
+// recipeCell wraps the memoised lookup of an explicit recipe as a cell.
+func (r *Runner) recipeCell(m config.Machine, rc *recipe) cell {
+	return func() (*cpu.Result, error) { return r.runRecipe(m, rc) }
 }
 
 // runCellContained executes one cell with a panic backstop. The runner's

@@ -22,12 +22,16 @@ type Bundle struct {
 	Version int `json:"version"`
 	// Machine is the failed cell's configuration, exactly as simulated.
 	Machine config.Machine `json:"machine"`
-	// Workload names a built-in workload; Profile overrides it for cells
-	// that ran an ad-hoc mutated profile.
-	Workload string            `json:"workload"`
-	Profile  *workload.Profile `json:"profile,omitempty"`
-	Seed     int64             `json:"seed"`
-	Insts    uint64            `json:"insts"`
+	// Workload is the cell's display name. Profile, Processes and Quantum
+	// are its stream recipe; a bundle without a profile (written before
+	// bundles carried the recipe) replays the built-in workload of that
+	// name, and zero processes means one.
+	Workload  string            `json:"workload"`
+	Profile   *workload.Profile `json:"profile,omitempty"`
+	Processes int               `json:"processes,omitempty"`
+	Quantum   int               `json:"quantum,omitempty"`
+	Seed      int64             `json:"seed"`
+	Insts     uint64            `json:"insts"`
 	// Fault, when present, is re-armed on replay — required for stream
 	// faults (panic, badinst), which live outside the machine config.
 	Fault *Fault `json:"fault,omitempty"`
@@ -38,12 +42,14 @@ type Bundle struct {
 // (FaultStuckDrain); stream faults must be carried explicitly.
 func BundleFor(ce *CellError, spec Spec) *Bundle {
 	b := &Bundle{
-		Version:  BundleVersion,
-		Machine:  ce.Machine,
-		Workload: ce.Workload,
-		Profile:  ce.Profile,
-		Seed:     ce.Seed,
-		Insts:    ce.Insts,
+		Version:   BundleVersion,
+		Machine:   ce.Machine,
+		Workload:  ce.Workload,
+		Profile:   ce.Profile,
+		Processes: ce.Processes,
+		Quantum:   ce.Quantum,
+		Seed:      ce.Seed,
+		Insts:     ce.Insts,
 	}
 	if spec.Fault.applies(ce.Workload) {
 		b.Fault = spec.Fault
@@ -83,10 +89,11 @@ func ParseBundle(data []byte) (*Bundle, error) {
 	return &b, nil
 }
 
-// Replay re-runs the bundled cell with the flight recorder armed. The
-// simulator is deterministic, so a replay either reproduces the original
-// failure — returning a CellError with fresh events and stack — or returns
-// the clean result, proving the failure is gone.
+// Replay re-runs the bundled cell with the flight recorder armed, through
+// the same lookup path as the campaign. The simulator is deterministic, so
+// a replay either reproduces the original failure — returning a CellError
+// with fresh events and stack — or returns the clean result, proving the
+// failure is gone.
 func (b *Bundle) Replay() (*cpu.Result, error) {
 	r := NewRunner(Spec{
 		Workloads:      []string{b.Workload},
@@ -96,8 +103,16 @@ func (b *Bundle) Replay() (*cpu.Result, error) {
 		FlightRecorder: true,
 		Fault:          b.Fault,
 	})
-	if b.Profile != nil {
-		return r.runProfile(b.Machine, *b.Profile)
+	if b.Profile == nil {
+		return r.Run(b.Machine, b.Workload)
 	}
-	return r.Run(b.Machine, b.Workload)
+	processes := b.Processes
+	if processes == 0 {
+		processes = 1
+	}
+	rc, err := newRecipe(*b.Profile, processes, b.Quantum)
+	if err != nil {
+		return nil, err
+	}
+	return r.runRecipe(b.Machine, rc)
 }

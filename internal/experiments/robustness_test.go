@@ -327,3 +327,37 @@ func TestCellErrorsWalksJoinedTrees(t *testing.T) {
 		t.Error("CellErrors on a plain error returned findings")
 	}
 }
+
+// TestBundleReplaysMultiprogramCell closes the repro loop for a cell with
+// no built-in name: a poisoned A6 cell (compress-x2) writes a bundle that
+// carries its recipe, and replaying the bundle reproduces the CellError.
+func TestBundleReplaysMultiprogramCell(t *testing.T) {
+	spec := faultSpec(&Fault{Mode: FaultPanic, Workload: "compress-x2", After: 50})
+	_, _, err := A6Multiprogramming(NewRunner(spec))
+	ces := CellErrors(err)
+	if len(ces) != 3 {
+		t.Fatalf("poisoned A6 level produced %d CellErrors, want 3 (one per machine): %v", len(ces), err)
+	}
+	data, err := BundleFor(ces[0], spec).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseBundle(data)
+	if err != nil {
+		t.Fatalf("ParseBundle on a multiprogram cell's bundle: %v", err)
+	}
+	if b.Processes != 2 || b.Quantum != 5000 {
+		t.Errorf("bundle recipe = %d processes, quantum %d; want 2, 5000", b.Processes, b.Quantum)
+	}
+	_, err = b.Replay()
+	got := CellErrors(err)
+	if len(got) != 1 {
+		t.Fatalf("replay produced %d CellErrors, want 1: %v", len(got), err)
+	}
+	if got[0].Error() != ces[0].Error() {
+		t.Errorf("replay failure %q differs from the original %q", got[0], ces[0])
+	}
+	if !errors.Is(got[0], ErrCellPanic) {
+		t.Errorf("replay lost ErrCellPanic identity: %v", got[0])
+	}
+}

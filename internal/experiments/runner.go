@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -397,26 +396,38 @@ func (r *Runner) SimulatedCycles() uint64 { return r.simCycles.Load() }
 // every non-memoised run this runner has executed.
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInsts.Load() }
 
-// Run simulates one workload on one machine, reusing a previous result for
-// the identical configuration. Concurrent calls with the same configuration
-// share one simulation: the first caller runs it, the rest wait for it.
-// Failures are memoised like results: the simulator is deterministic, so a
-// failed cell would fail identically on every retry, and caching the
-// CellError means the whole campaign reports one failure per distinct cell
-// instead of re-dying once per experiment that shares the configuration.
+// Run simulates one named workload on one machine, reusing a previous
+// result for the identical configuration. Concurrent calls with the same
+// configuration share one simulation: the first caller runs it, the rest
+// wait for it. Failures are memoised like results: the simulator is
+// deterministic, so a failed cell would fail identically on every retry,
+// and caching the CellError means the whole campaign reports one failure
+// per distinct cell instead of re-dying once per experiment that shares the
+// configuration.
 func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error) {
+	rc, err := namedRecipe(workloadName)
+	if err != nil {
+		return nil, err
+	}
+	return r.runRecipe(m, rc)
+}
+
+// runRecipe is the one cell lookup every experiment goes through:
+// memo → store → simulate, keyed by the recipe fingerprint plus the
+// machine configuration.
+func (r *Runner) runRecipe(m config.Machine, rc *recipe) (*cpu.Result, error) {
 	cfgJSON, err := m.ToJSON()
 	if err != nil {
 		return nil, err
 	}
-	key := workloadName + "\x00" + string(cfgJSON)
+	key := rc.id + "\x00" + string(cfgJSON)
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
 		<-e.done
 		ev := CellEvent{
 			Machine:    m.Name,
-			Workload:   workloadName,
+			Workload:   rc.name,
 			ConfigJSON: cfgJSON,
 			MemoHit:    true,
 			Result:     e.res,
@@ -431,7 +442,7 @@ func (r *Runner) Run(m config.Machine, workloadName string) (*cpu.Result, error)
 	e := &memoEntry{done: make(chan struct{})}
 	r.cache[key] = e
 	r.mu.Unlock()
-	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(m, cfgJSON, workloadName) })
+	r.fill(e, func() (*cpu.Result, error) { return r.runDurable(m, cfgJSON, rc) })
 	return e.res, e.err
 }
 
@@ -459,38 +470,16 @@ func (r *Runner) fill(e *memoEntry, run func() (*cpu.Result, error)) {
 	e.res, e.err = run()
 }
 
-// runWorkload resolves a workload name and simulates it (no memoisation).
-func (r *Runner) runWorkload(m config.Machine, workloadName string) (*cpu.Result, error) {
-	prof, ok := workload.ByName(workloadName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", workloadName)
-	}
-	return r.runProfile(m, prof)
-}
-
-// runProfile simulates an explicit profile (used by the kernel-intensity
-// sweep, which mutates profiles); results are not memoised. The stream is
-// an arena cursor when the registry holds this trace, the live generator
-// otherwise — identical instruction sequences either way.
-func (r *Runner) runProfile(m config.Machine, prof workload.Profile) (*cpu.Result, error) {
-	stream, release, err := r.profileStream(prof, r.spec.Seed)
+// simulate opens the recipe's stream and runs the cell on it.
+func (r *Runner) simulate(m config.Machine, rc *recipe) (*cpu.Result, error) {
+	stream, release, err := r.openStream(rc)
 	if err != nil {
 		return nil, err
 	}
 	if release != nil {
 		defer release()
 	}
-	res, err := r.runStream(m, stream, prof.Name)
-	if err != nil {
-		// The profile is ad hoc (no workload.ByName entry), so a repro
-		// bundle must carry it verbatim.
-		var ce *CellError
-		if errors.As(err, &ce) && ce.Profile == nil {
-			p := prof
-			ce.Profile = &p
-		}
-	}
-	return res, err
+	return r.runStream(m, stream, rc)
 }
 
 // acquireCore returns a core for the machine, reusing a pooled one (reset
@@ -542,13 +531,15 @@ func (r *Runner) PoolStats() (hits, misses uint64) {
 	return r.poolHits.Load(), r.poolMiss.Load()
 }
 
-// runStream simulates an arbitrary stream (not memoised). This is the cell
-// crash boundary: a panic anywhere in the simulation — the stream, the
-// pipeline model, the memory system — is contained here into a CellError
-// carrying the machine configuration, the cell identity, the stack, and
-// the flight recorder's tail. Simulation errors (deadline, watchdog stall)
-// are wrapped into CellErrors with the same context, minus the stack.
-func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (res *cpu.Result, err error) {
+// runStream simulates the recipe's opened stream (not memoised). This is
+// the cell crash boundary: a panic anywhere in the simulation — the
+// stream, the pipeline model, the memory system — is contained here into a
+// CellError carrying the machine configuration, the cell identity and
+// recipe, the stack, and the flight recorder's tail. Simulation errors
+// (deadline, watchdog stall) are wrapped into CellErrors with the same
+// context, minus the stack.
+func (r *Runner) runStream(m config.Machine, stream trace.Stream, rc *recipe) (res *cpu.Result, err error) {
+	what := rc.name
 	// A trace-armed cell gets the deep recorder; otherwise the ordinary
 	// forensic ring, armed only when requested or fault-poisoned.
 	traceRec := r.armTrace(m.Name, what)
@@ -567,15 +558,10 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 			// only ever shows the tail, so cap what the error carries.
 			events = events[len(events)-diag.DefaultDepth:]
 		}
-		return &CellError{
-			Machine:  m,
-			Workload: what,
-			Seed:     r.spec.Seed,
-			Insts:    r.spec.Insts,
-			Stack:    stack,
-			Events:   events,
-			Err:      cause,
-		}
+		ce := r.recipeError(m, rc, cause)
+		ce.Stack = stack
+		ce.Events = events
+		return ce
 	}
 	// Per-cell cycle accounting: a fresh caller-owned stack per cell, so
 	// the live object can be handed to the status plane (CellStart) while
@@ -674,6 +660,22 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, what string) (
 		simulate()
 	}
 	return res, err
+}
+
+// recipeError is a CellError for one cell of the recipe, carrying the full
+// recipe so a repro bundle rebuilds the same stream.
+func (r *Runner) recipeError(m config.Machine, rc *recipe, cause error) *CellError {
+	prof := rc.prof
+	return &CellError{
+		Machine:   m,
+		Workload:  rc.name,
+		Profile:   &prof,
+		Processes: rc.processes,
+		Quantum:   rc.quantum,
+		Seed:      r.spec.Seed,
+		Insts:     r.spec.Insts,
+		Err:       cause,
+	}
 }
 
 // geoMeanIPC computes the geometric-mean IPC over per-workload results.

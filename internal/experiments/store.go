@@ -116,19 +116,21 @@ func (e *restoredError) Is(target error) bool {
 	return e.panicked && target == ErrCellPanic
 }
 
-// storeKey computes the cell's durable identity. The fault descriptor is
-// part of the key whenever the spec poisons this workload, so a cell that
-// failed under -inject can never be restored into a clean campaign (or a
-// clean result into a poisoned one).
-func (r *Runner) storeKey(machineName string, cfgJSON []byte, workloadName string) cellstore.Key {
+// storeKey computes the cell's durable identity. The stream fingerprint
+// pins every parameter of the recipe, so editing a profile invalidates its
+// stored cells. The fault descriptor is part of the key whenever the spec
+// poisons this cell, so a cell that failed under -inject can never be
+// restored into a clean campaign (or a clean result into a poisoned one).
+func (r *Runner) storeKey(machineName string, cfgJSON []byte, rc *recipe) cellstore.Key {
 	k := cellstore.Key{
 		ConfigHash: cellstore.HashConfig(cfgJSON),
 		Machine:    machineName,
-		Workload:   workloadName,
+		Workload:   rc.name,
+		Stream:     rc.id,
 		Seed:       r.spec.Seed,
 		Insts:      r.spec.Insts,
 	}
-	if r.spec.Fault.applies(workloadName) {
+	if r.spec.Fault.applies(rc.name) {
 		k.Fault = r.spec.Fault.String()
 	}
 	return k
@@ -138,20 +140,20 @@ func (r *Runner) storeKey(machineName string, cfgJSON []byte, workloadName strin
 // the store, restore on a hit, otherwise simulate and persist the outcome.
 // It runs only in the memo owner's fill path, so the store sees each
 // distinct cell once per campaign regardless of parallelism.
-func (r *Runner) runDurable(m config.Machine, cfgJSON []byte, workloadName string) (*cpu.Result, error) {
+func (r *Runner) runDurable(m config.Machine, cfgJSON []byte, rc *recipe) (*cpu.Result, error) {
 	st := r.spec.Store
 	if st == nil {
-		return r.runWorkload(m, workloadName)
+		return r.simulate(m, rc)
 	}
-	key := r.storeKey(m.Name, cfgJSON, workloadName)
+	key := r.storeKey(m.Name, cfgJSON, rc)
 	if entry, _ := st.Get(key); entry != nil {
-		res, err, decErr := r.restoreEntry(entry, m, workloadName)
+		res, err, decErr := r.restoreEntry(entry, m, rc)
 		if decErr == nil {
 			// Store hits skip runStream, so its observer defer never runs;
 			// deliver the cell event here with StoreHit set.
 			ev := CellEvent{
 				Machine:    m.Name,
-				Workload:   workloadName,
+				Workload:   rc.name,
 				ConfigJSON: cfgJSON,
 				StoreHit:   true,
 				Result:     res,
@@ -168,7 +170,7 @@ func (r *Runner) runDurable(m config.Machine, cfgJSON []byte, workloadName strin
 		// fall through to a fresh simulation.
 		st.Quarantine(key, decErr)
 	}
-	res, err := r.runWorkload(m, workloadName)
+	res, err := r.simulate(m, rc)
 	r.putEntry(st, key, res, err)
 	return res, err
 }
@@ -176,7 +178,7 @@ func (r *Runner) runDurable(m config.Machine, cfgJSON []byte, workloadName strin
 // restoreEntry rebuilds the cell outcome from a stored entry. The third
 // return is non-nil when the payload is undecodable (the caller
 // quarantines); otherwise exactly one of res/err is set.
-func (r *Runner) restoreEntry(entry *cellstore.Entry, m config.Machine, workloadName string) (*cpu.Result, error, error) {
+func (r *Runner) restoreEntry(entry *cellstore.Entry, m config.Machine, rc *recipe) (*cpu.Result, error, error) {
 	if entry.Failure != nil {
 		f := entry.Failure
 		// Rebuild the CellError from the coordinates at hand. Wedge-mode
@@ -184,17 +186,12 @@ func (r *Runner) restoreEntry(entry *cellstore.Entry, m config.Machine, workload
 		// re-arm the knob so the restored failure reports the configuration
 		// as simulated. The flight-recorder events are forensics of the
 		// original run and are not persisted — the stack is.
-		if r.spec.Fault.applies(workloadName) && r.spec.Fault.Mode == FaultWedge {
+		if r.spec.Fault.applies(rc.name) && r.spec.Fault.Mode == FaultWedge {
 			m.Ports.FaultStuckDrain = true
 		}
-		return nil, &CellError{
-			Machine:  m,
-			Workload: workloadName,
-			Seed:     entry.Key.Seed,
-			Insts:    entry.Key.Insts,
-			Stack:    f.Stack,
-			Err:      &restoredError{msg: f.Message, panicked: f.Panicked},
-		}, nil
+		ce := r.recipeError(m, rc, &restoredError{msg: f.Message, panicked: f.Panicked})
+		ce.Stack = f.Stack
+		return nil, ce, nil
 	}
 	res, err := decodeResult(entry.Result)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"portsim/internal/cellstore"
 	"portsim/internal/config"
 	"portsim/internal/cpu"
+	"portsim/internal/workload"
 )
 
 // storeSpec is QuickSpec over a durable store in dir.
@@ -290,5 +291,99 @@ func TestStoreDegradedRunsClean(t *testing.T) {
 	}
 	if s := st.Stats(); !s.Degraded || s.PutFailures != 1 {
 		t.Fatalf("store stats = %+v, want degraded with 1 put failure", s)
+	}
+}
+
+// runF7A6 renders the F7 and A6 tables on a small spec over the store in
+// dir, returning the tables and the runner.
+func runF7A6(t *testing.T, dir string) (string, *Runner, *cellstore.Store) {
+	t.Helper()
+	st, err := cellstore.Open(dir, cellstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Spec{Workloads: []string{"compress"}, Insts: 3_000, Seed: 42, Parallel: 2, Store: st})
+	_, f7, err := F7KernelIntensity(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, a6, err := A6Multiprogramming(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f7.String() + a6.String(), r, st
+}
+
+// TestStoreRestoresMutatedAndMultiprogramCells asserts the kernel-intensity
+// (mutated profiles) and multiprogramming (multi-process mixes) sweeps
+// take the same memo → store → simulate lookup as named cells: a second
+// runner over the warm store restores every cell, simulates nothing, builds
+// no arena, and renders identical tables.
+func TestStoreRestoresMutatedAndMultiprogramCells(t *testing.T) {
+	dir := t.TempDir()
+	cold, coldRunner, coldStore := runF7A6(t, dir)
+	if coldRunner.SimulatedCycles() == 0 {
+		t.Fatal("cold run simulated nothing")
+	}
+	const cells = 24 // 4 F7 points and 4 A6 levels, 3 machines each
+	if s := coldStore.Stats(); s.Puts != cells || s.Hits != 0 {
+		t.Fatalf("cold store stats = %+v, want %d puts", s, cells)
+	}
+
+	warm, warmRunner, warmStore := runF7A6(t, dir)
+	if warm != cold {
+		t.Errorf("warm tables diverge:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+	if c := warmRunner.SimulatedCycles(); c != 0 {
+		t.Errorf("warm run simulated %d cycles, want 0", c)
+	}
+	if s := warmStore.Stats(); s.Hits != cells || s.Misses != 0 || s.Puts != 0 {
+		t.Errorf("warm store stats = %+v, want %d hits and nothing else", s, cells)
+	}
+	if ast, _ := warmRunner.ArenaStats(); ast.Builds != 0 {
+		t.Errorf("warm run built %d arenas, want 0", ast.Builds)
+	}
+}
+
+// TestStoreKeyStreamIdentity pins the stream fingerprint's reach: F7
+// points that differ only in kernel cadence, A6 levels, and an edited copy
+// of a built-in profile under its own name all get distinct store keys.
+func TestStoreKeyStreamIdentity(t *testing.T) {
+	r := NewRunner(QuickSpec())
+	m := config.Baseline()
+	cfgJSON, err := m.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyID := func(prof workload.Profile, processes, quantum int) string {
+		t.Helper()
+		rc, err := newRecipe(prof, processes, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.storeKey(m.Name, cfgJSON, rc).ID()
+	}
+	database, _ := workload.ByName("database")
+	low, high := database, database
+	low.Name, high.Name = "database-k-x", "database-k-x"
+	low.Kernel.EveryMean, high.Kernel.EveryMean = 16000, 1200
+	if keyID(low, 1, 0) == keyID(high, 1, 0) {
+		t.Error("profiles differing only in Kernel.EveryMean share a store key")
+	}
+
+	compress, _ := workload.ByName("compress")
+	seen := map[string]int{}
+	for _, n := range []int{1, 2, 4, 8} {
+		id := keyID(compress, n, 5000)
+		if prev, dup := seen[id]; dup {
+			t.Errorf("A6 levels %d and %d share a store key", prev, n)
+		}
+		seen[id] = n
+	}
+
+	edited := compress
+	edited.MeanBlockLen++
+	if keyID(edited, 1, 0) == keyID(compress, 1, 0) {
+		t.Error("an edited copy of compress under the same name shares its store key")
 	}
 }
