@@ -131,10 +131,11 @@ func TestStepDoesNotAllocateWithCPIStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(&m, g)
+	c, err := newCore(&m, g, allocTestChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
+	startInput(t, c)
 	c.acct = cpustack.NewStack()
 	var snap acctSnap
 	acctedStep := func() {
@@ -145,9 +146,11 @@ func TestStepDoesNotAllocateWithCPIStack(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		acctedStep()
 	}
+	before := c.seq
 	if avg := testing.AllocsPerRun(2000, acctedStep); avg != 0 {
 		t.Errorf("accounted step allocates %v objects/cycle in steady state; want 0", avg)
 	}
+	requireChunkSwitches(t, c, before)
 	if c.acct.Total() == 0 {
 		t.Error("armed stack accumulated nothing")
 	}

@@ -8,25 +8,25 @@ import (
 	"portsim/internal/workload"
 )
 
-// arenaFor materialises a (profile, seed) trace with the read-ahead slack
-// the runner uses, so the cursor never reports exhaustion inside the
-// budget.
+// arenaFor materialises insts instructions of a (profile, seed) trace, as
+// the runner does: the core never reads past its instruction budget, so
+// the cursor is indistinguishable from the endless generator.
 func arenaFor(t *testing.T, name string, seed int64, insts uint64) *trace.Arena {
 	t.Helper()
 	gen, err := workload.New(mustProfile(t, name), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace.Materialize(gen, int(insts)+StreamChunk)
+	return trace.Materialize(gen, int(insts))
 }
 
 // TestRunCursorMatchesGenerator is the core-level byte-identity guarantee
-// of the arena fast path: simulating from an arena cursor — batched fetch
-// groups, PredictGroup-trained predictors, metadata-driven group cuts —
-// must produce the identical Result, counter for counter, as simulating
-// the live generator through the per-instruction fetch loop. Covered
-// machines include the wrong-path-fetch model (whose stall-time I-cache
-// pollution depends on exact group endings).
+// between the two ways a stream reaches fetch: a whole arena read through
+// a cursor, and a live generator drained into the input ring's chunk
+// arenas by the producer goroutine. Both must produce the identical
+// Result, counter for counter. Covered machines include the
+// wrong-path-fetch model (whose stall-time I-cache pollution depends on
+// exact group endings).
 func TestRunCursorMatchesGenerator(t *testing.T) {
 	const insts = 15_000
 	wrongPath := config.Baseline()
@@ -177,8 +177,8 @@ func TestResetCursorMatchesFresh(t *testing.T) {
 	compareResults(t, "reset-to-generator", wantGen, gotGen)
 }
 
-// TestStepDoesNotAllocateWithCursor is the zero-alloc proof for the
-// batched front end: steady-state cycles fetching whole groups from an
+// TestStepDoesNotAllocateWithCursor is the zero-alloc proof for a
+// whole-arena input: steady-state cycles fetching whole groups from an
 // arena cursor never touch the heap.
 func TestStepDoesNotAllocateWithCursor(t *testing.T) {
 	for _, m := range []config.Machine{config.Baseline(), config.BestSingle()} {

@@ -162,6 +162,12 @@ type Options struct {
 // without a commit can only be a wedge.
 const DefaultStallCycles = 50_000
 
+// StreamChunk is a batch length for tools that drain a trace.Batcher
+// themselves and want a read-ahead margin past an instruction budget. The
+// core does not read by it: its input arrives as arenas (trace.Feed) and
+// never reads past the committed-instruction limit.
+const StreamChunk = 128
+
 // deadlineCyclesPerInst is the deadlock-guard budget: no sane run needs
 // 400 cycles per committed instruction.
 const deadlineCyclesPerInst = 400
@@ -208,27 +214,18 @@ type Core struct {
 	port *core.MemPort
 	pred *bpred.Unit
 
-	stream trace.Stream
-	cycle  uint64
-	seq    uint64
+	cycle uint64
+	seq   uint64
 
-	// Batched stream state. When the stream implements trace.Batcher,
-	// fetch pulls instructions through batchBuf in streamChunk-sized
-	// refills: one dynamic dispatch per chunk instead of one per
-	// instruction. The generators' output is independent of when they are
-	// called, so pulling ahead of the pipeline changes nothing the core
-	// observes.
-	batcher            trace.Batcher
-	batchBuf           []isa.Inst
-	batchPos, batchLen int
-
-	// Arena fast path. When the stream is a *trace.Cursor, fetch consumes
-	// whole fetch groups straight from the arena's packed arrays
-	// (fetchArena): line-boundary and redirect checks become mask/flag
-	// tests on precomputed metadata and the predictors train once per
-	// group. fetchOps is the reusable scratch the group's control
-	// instructions are staged in for bpred.Unit.PredictGroup.
-	cursor   *trace.Cursor
+	// Input. Every stream reaches fetch as arenas through in: a whole-arena
+	// cursor directly, any other stream as a ring of chunk arenas filled
+	// by a producer goroutine that Run starts and joins (see trace.Feed).
+	// fetchArena consumes whole fetch groups straight from the packed
+	// arrays: line-boundary and redirect checks become mask/flag tests on
+	// precomputed metadata and the predictors train once per group.
+	// fetchOps is the reusable scratch the group's control instructions
+	// are staged in for bpred.Unit.PredictGroup.
+	in       *trace.Feed
 	fetchOps []bpred.Op
 
 	// Reorder buffer as a ring.
@@ -326,8 +323,6 @@ type Core struct {
 	stallSeq        uint64 // seq of the unresolved control inst blocking fetch (0 = none)
 	stallOnCommit   bool   // the blocking instruction releases fetch at commit (syscall)
 	curFetchLine    uint64
-	havePending     bool
-	pending         isa.Inst
 	streamDone      bool
 	wrongPathPC     uint64 // next wrong-path fetch address (0 = none)
 	wrongPathLines  uint64
@@ -367,8 +362,14 @@ func pow2AtLeast(n int) int {
 }
 
 // New builds a core from a validated machine configuration and an
-// instruction stream.
+// instruction stream. It starts no goroutine and allocates no input ring:
+// Run does that, the first time it needs one.
 func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
+	return newCore(cfg, stream, 0)
+}
+
+// newCore is New with the input ring's chunk length (zero: the default).
+func newCore(cfg *config.Machine, stream trace.Stream, chunkLen int) (*Core, error) {
 	if stream == nil {
 		return nil, errors.New("cpu: nil instruction stream")
 	}
@@ -388,7 +389,7 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		sys:          sys,
 		port:         core.NewMemPort(cfg.Ports, sys),
 		pred:         pred,
-		stream:       stream,
+		in:           trace.NewFeed(cfg.Core.FetchWidth-1, chunkLen),
 		rob:          make([]robEntry, cfg.Core.ROBEntries),
 		liveList:     make([]int32, cfg.Core.ROBEntries),
 		liveStores:   make([]int32, cfg.Core.StoreQueueEntries),
@@ -400,12 +401,7 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 		curFetchLine: ^uint64(0),
 		sqGen:        1,
 	}
-	if cur, ok := stream.(*trace.Cursor); ok {
-		c.cursor = cur
-	} else if b, ok := stream.(trace.Batcher); ok {
-		c.batcher = b
-		c.batchBuf = make([]isa.Inst, streamChunk)
-	}
+	c.in.Reset(stream)
 	c.fetchOps = make([]bpred.Op, cfg.Core.FetchWidth)
 	c.intReady = make([]uint64, cfg.Core.IntPhysRegs)
 	c.fpReady = make([]uint64, cfg.Core.FPPhysRegs)
@@ -436,9 +432,10 @@ func New(cfg *config.Machine, stream trace.Stream) (*Core, error) {
 // memory hierarchy — to exactly the state New would have produced for the
 // same configuration, rewired to a fresh stream. Every backing array is
 // reused, so a pooled simulation pays no per-cell allocation for the large
-// structures (cache tags, predictor tables, register files). The caller
-// must guarantee the machine configuration is unchanged; the equivalence
-// with a freshly constructed core is what TestResetMatchesFresh checks.
+// structures (cache tags, predictor tables, register files, the input
+// ring). The caller must guarantee the machine configuration is unchanged;
+// the equivalence with a freshly constructed core is what
+// TestResetMatchesFresh checks.
 func (c *Core) Reset(stream trace.Stream) error {
 	if stream == nil {
 		return errors.New("cpu: nil instruction stream")
@@ -446,19 +443,8 @@ func (c *Core) Reset(stream trace.Stream) error {
 	c.sys.Reset()
 	c.port.Reset()
 	c.pred.Reset()
-	c.stream = stream
+	c.in.Reset(stream)
 	c.cycle, c.seq = 0, 0
-	c.batcher = nil
-	c.cursor = nil
-	if cur, ok := stream.(*trace.Cursor); ok {
-		c.cursor = cur
-	} else if b, ok := stream.(trace.Batcher); ok {
-		c.batcher = b
-		if c.batchBuf == nil {
-			c.batchBuf = make([]isa.Inst, streamChunk)
-		}
-	}
-	c.batchPos, c.batchLen = 0, 0
 	clear(c.rob)
 	c.robHead, c.robCount = 0, 0
 	c.committed, c.maxInsts = 0, 0
@@ -499,8 +485,6 @@ func (c *Core) Reset(stream trace.Stream) error {
 	c.stallSeq = 0
 	c.stallOnCommit = false
 	c.curFetchLine = ^uint64(0)
-	c.havePending = false
-	c.pending = isa.Inst{}
 	c.streamDone = false
 	c.wrongPathPC, c.wrongPathLines = 0, 0
 	c.lastCommitSeq = 0
@@ -535,8 +519,12 @@ var ErrStall = errors.New("cpu: no forward progress")
 
 // Run simulates until the stream ends or opts.MaxInstructions commit, then
 // drains the pipeline and the store buffer, and returns the result. The
-// clock steps one cycle at a time.
+// clock steps one cycle at a time. Unless the stream is a whole-arena
+// cursor, Run starts the input's producer goroutine and stops and joins it
+// before returning, on every path — panics included.
 func (c *Core) Run(opts Options) (*Result, error) {
+	c.in.Start()
+	defer c.in.Stop()
 	c.maxInsts = opts.MaxInstructions
 	c.rec = opts.Recorder
 	c.port.SetRecorder(opts.Recorder)
@@ -589,47 +577,9 @@ func (c *Core) Run(opts Options) (*Result, error) {
 	return c.result(), nil
 }
 
-// streamChunk is how many instructions a batched stream refill pulls.
-const streamChunk = 128
-
-// StreamChunk is streamChunk for consumers sizing finite replay streams:
-// the core may pull up to one refill past the committed-instruction limit,
-// so a replayed trace needs this much slack beyond the budget to stay
-// indistinguishable from an endless generator.
-const StreamChunk = streamChunk
-
-// streamNext delivers the next stream instruction, through the chunk buffer
-// when the stream supports batching.
-//
-//portlint:hotpath
-func (c *Core) streamNext(in *isa.Inst) bool {
-	if c.batcher == nil {
-		return c.stream.Next(in)
-	}
-	if c.batchPos == c.batchLen {
-		c.batchLen = c.batcher.NextBatch(c.batchBuf)
-		c.batchPos = 0
-		if c.batchLen == 0 {
-			return false
-		}
-	}
-	*in = c.batchBuf[c.batchPos]
-	c.batchPos++
-	return true
-}
-
-// fbPush appends one instruction to the fetch-buffer ring. Callers must
-// check fbCount < len(fetchBuf) first.
-//
-//portlint:hotpath
-func (c *Core) fbPush(f fetchedInst) {
-	*c.fbSlot() = f
-}
-
 // fbSlot reserves the next fetch-buffer slot and returns it for in-place
-// construction, sparing the arena fast path fbPush's whole-struct copy.
-// Callers must check fbCount < len(fetchBuf) first; slots are reused, so
-// every field must be (re)written.
+// construction. Callers must check fbCount < len(fetchBuf) first; slots
+// are reused, so every field must be (re)written.
 //
 //portlint:hotpath
 func (c *Core) fbSlot() *fetchedInst {
@@ -660,7 +610,7 @@ func (c *Core) fbPop() {
 
 // drained reports that no work remains anywhere in the machine.
 func (c *Core) drained() bool {
-	if c.robCount > 0 || c.fbCount > 0 || c.havePending {
+	if c.robCount > 0 || c.fbCount > 0 {
 		return false
 	}
 	if c.limitReached() {

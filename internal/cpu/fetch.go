@@ -7,11 +7,15 @@ import (
 	"portsim/internal/trace"
 )
 
-// fetch pulls up to FetchWidth instructions from the stream into the fetch
+// fetch moves up to FetchWidth instructions from the input into the fetch
 // buffer, modelling the instruction cache (one line per cycle) and the
 // branch predictor. A predicted-taken control transfer ends the fetch group;
 // a misprediction (or a serialising syscall) stalls fetch until the
-// offending instruction resolves (or commits).
+// offending instruction resolves (or commits). Predictors train here rather
+// than at commit: fetch order equals program order in a trace-driven model
+// (there is no wrong path), and training at fetch keeps gshare's global
+// history exactly in step with the fetch stream — the behaviour of real
+// hardware's speculatively updated, repair-on-mispredict history register.
 //
 //portlint:hotpath
 func (c *Core) fetch() {
@@ -29,85 +33,22 @@ func (c *Core) fetch() {
 		return
 	}
 	c.wrongPathPC = 0
-	if c.cursor != nil {
-		c.fetchArena()
-		return
-	}
-	lineMask := ^uint64(uint64(c.cfg.L1I.LineBytes) - 1)
-	fetched := 0
-	for fetched < c.cfg.Core.FetchWidth && c.fbCount < len(c.fetchBuf) {
-		if c.limitReached() {
-			return
-		}
-		if !c.havePending {
-			if c.streamDone || !c.streamNext(&c.pending) {
-				c.streamDone = true
-				return
-			}
-			c.havePending = true
-		}
-		in := c.pending
-		line := in.PC & lineMask
-		if line != c.curFetchLine {
-			if fetched > 0 {
-				// One instruction line per cycle: the group ends
-				// at the line boundary; the held instruction
-				// starts the next group.
-				return
-			}
-			r := c.sys.InstFetch(c.cycle, in.PC)
-			if !r.Accepted {
-				c.fetchBlockedTil = c.cycle + 1
-				return
-			}
-			c.curFetchLine = line
-			if r.Ready > c.cycle+uint64(c.cfg.L1I.HitLatency) {
-				// Instruction-cache miss: deliver when the line
-				// arrives.
-				c.fetchBlockedTil = r.Ready
-				return
-			}
-		}
-		c.havePending = false
-		c.seq++
-		f := fetchedInst{inst: in, seq: c.seq}
-		if in.Class.IsCtrl() {
-			c.predict(&f)
-		}
-		c.fbPush(f)
-		if c.rec != nil {
-			c.rec.Record(c.cycle, diag.EventFetch, f.seq, in.PC)
-		}
-		fetched++
-		if f.mispredicted || f.serialize {
-			// Fetch stops until this instruction resolves (branch)
-			// or commits (syscall).
-			c.stallSeq = f.seq
-			c.stallOnCommit = f.serialize
-			if f.mispredicted && c.cfg.Core.WrongPathFetch {
-				c.wrongPathPC = wrongPathStart(&f.inst)
-			}
-			return
-		}
-		if in.Redirects() {
-			// Correctly predicted taken: the group ends; fetch
-			// resumes at the target next cycle. Invalidate the
-			// line tracker so the target line is fetched fresh.
-			c.curFetchLine = ^uint64(0)
-			return
-		}
-	}
+	c.fetchArena()
 }
 
-// fetchArena is fetch's arena fast path: one whole fetch group per call,
-// consumed straight from the cursor's packed arrays. The group's extent
-// comes from precomputed metadata — the line-boundary check is a mask test
-// on the PC array and the group-ending redirect test is one flag bit — and
-// the branch predictors run over the group's control instructions in a
-// single PredictGroup call. The group fetched, every predictor update and
-// every counter are exactly what the per-instruction loop in fetch would
-// have produced for the same trace; the arena on/off CI diff holds this to
-// byte identity.
+// fetchArena fetches one whole fetch group per call, consumed straight
+// from the input's packed arena arrays. The group's extent comes from
+// precomputed metadata — the line-boundary check is a mask test on the PC
+// array and the group-ending redirect test is one flag bit — and the branch
+// predictors run over the group's control instructions in a single
+// PredictGroup call. A group may straddle a chunk boundary of the input
+// ring: the window holds the next chunk's first instructions too, so the
+// group is the one a whole arena would give.
+//
+// The stream's end is noticed exactly when fetch asks for the instruction
+// past it: at the start of a group, or when a group that nothing cut
+// (no line crossing, redirect, misprediction, full width or full buffer)
+// runs into it. That is also when a source panic is re-raised.
 //
 //portlint:hotpath
 func (c *Core) fetchArena() {
@@ -126,12 +67,14 @@ func (c *Core) fetchArena() {
 			n = int(left)
 		}
 	}
-	a := c.cursor.Arena()
-	pos := c.cursor.Pos()
-	if rem := a.Len() - pos; rem == 0 {
-		c.streamDone = true
+	a, pos := c.in.Window()
+	rem := a.Len() - pos
+	if rem == 0 {
+		c.endOfStream()
 		return
-	} else if rem < n {
+	}
+	short := rem < n
+	if short {
 		n = rem
 	}
 	pcs := a.PCs()
@@ -206,7 +149,7 @@ func (c *Core) fetchArena() {
 			c.rec.Record(c.cycle, diag.EventFetch, f.seq, f.inst.PC)
 		}
 	}
-	c.cursor.Advance(n)
+	redirect := metas[pos+n-1]&trace.MetaRedirect != 0
 	if stop >= 0 {
 		// Fetch stops until this instruction resolves (branch) or commits
 		// (syscall).
@@ -218,14 +161,31 @@ func (c *Core) fetchArena() {
 			a.Inst(pos+n-1, &last)
 			c.wrongPathPC = wrongPathStart(&last)
 		}
-		return
 	}
-	if metas[pos+n-1]&trace.MetaRedirect != 0 {
+	// Advance only after the last read of a: it may hand a's chunk back to
+	// the producer for refilling.
+	c.in.Advance(n)
+	switch {
+	case stop >= 0:
+	case redirect:
 		// Correctly predicted taken: the group ends; fetch resumes at the
 		// target next cycle. Invalidate the line tracker so the target
 		// line is fetched fresh.
 		c.curFetchLine = ^uint64(0)
+	case short && n == rem:
+		// Nothing cut the group before the stream's end: fetch asks for
+		// the next instruction and finds none.
+		c.endOfStream()
 	}
+}
+
+// endOfStream marks the input exhausted, first re-raising the source's
+// panic if that is why it ended.
+//
+//portlint:coldpath runs once per run, when fetch first finds the stream exhausted
+func (c *Core) endOfStream() {
+	c.in.Fault()
+	c.streamDone = true
 }
 
 // wrongPathStart picks the address the front end would (wrongly) have
@@ -239,54 +199,4 @@ func wrongPathStart(in *isa.Inst) uint64 {
 		return in.Target
 	}
 	return in.FallThrough()
-}
-
-// predict runs the front-end predictors on a control instruction and marks
-// it mispredicted when the machine could not have followed the trace's
-// path. Predictor structures are trained here rather than at commit: fetch
-// order equals program order in a trace-driven model (there is no wrong
-// path), and training at fetch keeps gshare's global history exactly in
-// step with the fetch stream — the behaviour of real hardware's
-// speculatively updated, repair-on-mispredict history register.
-func (c *Core) predict(f *fetchedInst) {
-	in := &f.inst
-	switch in.Class {
-	case isa.Branch:
-		predTaken := c.pred.Dir.Predict(in.PC)
-		if predTaken != in.Taken {
-			f.mispredicted = true
-		} else if in.Taken {
-			// Direction right, but fetch can only redirect with a
-			// target from the BTB.
-			tgt, ok := c.pred.BTB.Lookup(in.PC)
-			if !ok || tgt != in.Target {
-				f.mispredicted = true
-			}
-		}
-		c.pred.Dir.Update(in.PC, in.Taken)
-		if in.Taken {
-			c.pred.BTB.Insert(in.PC, in.Target)
-		}
-	case isa.Jump:
-		tgt, ok := c.pred.BTB.Lookup(in.PC)
-		if !ok || tgt != in.Target {
-			f.mispredicted = true
-		}
-		c.pred.BTB.Insert(in.PC, in.Target)
-	case isa.Call:
-		tgt, ok := c.pred.BTB.Lookup(in.PC)
-		if !ok || tgt != in.Target {
-			f.mispredicted = true
-		}
-		c.pred.BTB.Insert(in.PC, in.Target)
-		c.pred.RAS.Push(in.FallThrough())
-	case isa.Return:
-		tgt, ok := c.pred.RAS.Pop()
-		if !ok || tgt != in.Target {
-			f.mispredicted = true
-		}
-	case isa.Syscall:
-		// Kernel entry serialises the pipeline.
-		f.serialize = true
-	}
 }

@@ -16,6 +16,7 @@ package diag
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 )
 
@@ -218,4 +219,32 @@ func FormatEvents(events []Event) string {
 		b.WriteByte('\n')
 	}
 	return strings.TrimRight(b.String(), "\n")
+}
+
+// Panic is a panic captured on one goroutine so that another can re-raise
+// it: the instruction-stream producer captures a source panic, and the
+// simulating goroutine re-raises it where the stream reaches the
+// instruction that panicked, so the cell crash boundary contains it like
+// any other simulation panic.
+type Panic struct {
+	// Value is the value the producer panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack at the panic.
+	Stack string
+}
+
+// Error renders the original panic value alone, so a contained forwarded
+// panic reads exactly like the same panic raised in place.
+func (p *Panic) Error() string { return fmt.Sprint(p.Value) }
+
+// Capture calls fn and returns the panic it raised, with the panicking
+// goroutine's stack, or nil when fn returns normally.
+func Capture(fn func()) (p *Panic) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = &Panic{Value: v, Stack: string(debug.Stack())}
+		}
+	}()
+	fn()
+	return nil
 }

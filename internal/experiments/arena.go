@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"portsim/internal/cpu"
 	"portsim/internal/trace"
 	"portsim/internal/workload"
 )
@@ -16,7 +15,8 @@ import (
 // trace exactly once and hands every cell of the sweep a zero-alloc cursor
 // over it. The arena itself lives in internal/trace; the registry owns the
 // sharing policy — singleflight builds, LRU eviction of idle arenas, and
-// the fallback to live streaming generation when the budget is exhausted.
+// the fallback to the live generator when the budget is exhausted, which
+// the core then reads through its ring of chunk arenas (trace.Feed).
 // Cursor replay and live generation are instruction-identical by
 // construction (the arena is a verbatim capture of the same generator), so
 // every experiment table is byte-identical with arenas on, off, or
@@ -26,14 +26,6 @@ import (
 // zero: 512 MiB holds every arena of a full default campaign (each 300k-inst
 // trace costs ~9 MB) with room to spare.
 const DefaultArenaBudget int64 = 512 << 20
-
-// arenaSlack is how many instructions past the committed-instruction budget
-// each arena materialises. The core's batched stream refills pull up to
-// cpu.StreamChunk instructions ahead of the fetch limit, so the extra tail
-// guarantees a replayed cursor never reports exhaustion where the endless
-// live generator would not — with or without the multiprogram interleaver
-// in between.
-const arenaSlack = cpu.StreamChunk
 
 // arenaKey identifies one materialised trace: the full profile (as
 // canonical JSON — the kernel-intensity sweep runs mutated profiles that
@@ -199,9 +191,12 @@ func (r *Runner) ArenaStats() (ArenaStats, bool) {
 }
 
 // arenaLen is the materialised length of every arena in this campaign: the
-// per-cell instruction budget plus the core's read-ahead slack. One shared
-// length keeps single-program and multiprogram cells on the same arenas.
-func (r *Runner) arenaLen() uint64 { return r.spec.Insts + arenaSlack }
+// per-cell instruction budget. The core never reads past the budget, so a
+// replay is indistinguishable from the endless generator it captured, and
+// one shared length keeps single-program and multiprogram cells on the
+// same arenas: a multiprogram process can only run dry after it has
+// supplied a whole budget, so the interleave runs dry no earlier either.
+func (r *Runner) arenaLen() uint64 { return r.spec.Insts }
 
 // ParseArenaBudget parses a -arena-budget flag value: a byte size with an
 // optional binary or decimal unit suffix ("256MiB", "1g", "64000000"),

@@ -49,7 +49,7 @@ func TestTablesIdenticalArenasOnOff(t *testing.T) {
 
 	// A budget of exactly two arenas: some A6 levels (up to 8 processes)
 	// must fall back while single-program cells replay.
-	twoArenas := 2 * int64(arenaTestSpec(0).Insts+arenaSlack) * 30
+	twoArenas := 2 * int64(arenaTestSpec(0).Insts) * 30
 	partial, partialRunner := runArenaCampaign(t, twoArenas)
 	pst, _ := partialRunner.ArenaStats()
 	if pst.Fallbacks == 0 {

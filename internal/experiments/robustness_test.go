@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"portsim/internal/config"
 	"portsim/internal/cpu"
+	"portsim/internal/diag"
 )
 
 // faultSpec is a small spec with one poisoned workload.
@@ -359,5 +361,52 @@ func TestBundleReplaysMultiprogramCell(t *testing.T) {
 	}
 	if !errors.Is(got[0], ErrCellPanic) {
 		t.Errorf("replay lost ErrCellPanic identity: %v", got[0])
+	}
+}
+
+// TestStreamPanicForwardedAcrossChunkBoundary drives the injected stream
+// panic through the core's input ring, whose producer goroutine is where
+// the stream's Next panics, at points one before, on and one after the
+// ring's 2048-instruction chunk boundary. The contained CellError must
+// read exactly as a panic raised on the simulating goroutine would,
+// the recorder's last fetch must be the last clean instruction, the stack
+// must show both goroutines, and the repro bundle must replay the failure.
+func TestStreamPanicForwardedAcrossChunkBoundary(t *testing.T) {
+	for _, after := range []uint64{2047, 2048, 2049} {
+		spec := faultSpec(&Fault{Mode: FaultPanic, Workload: "compress", After: after})
+		_, err := NewRunner(spec).Run(config.Baseline(), "compress")
+		ces := CellErrors(err)
+		if len(ces) != 1 {
+			t.Fatalf("after %d: %d CellErrors, want 1: %v", after, len(ces), err)
+		}
+		ce := ces[0]
+		want := fmt.Sprintf(`cell compress on baseline-1port (seed 42, 5000 insts): experiments: cell panicked: fault: injected stream panic in workload "compress" after %d instructions`, after)
+		if ce.Error() != want {
+			t.Errorf("after %d: CellError\n  %s\nwant\n  %s", after, ce.Error(), want)
+		}
+		last := uint64(0)
+		for _, ev := range ce.Events {
+			if ev.Kind == diag.EventFetch {
+				last = ev.Seq
+			}
+		}
+		if last != after {
+			t.Errorf("after %d: recorder's last fetch is seq %d, want %d", after, last, after)
+		}
+		if !strings.Contains(ce.Stack, "faultStream") || !strings.Contains(ce.Stack, "re-raised by the simulation") {
+			t.Errorf("after %d: stack lacks the producer or the re-raise:\n%s", after, ce.Stack)
+		}
+		data, err := BundleFor(ce, spec).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ParseBundle(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = b.Replay()
+		if got := CellErrors(err); len(got) != 1 || got[0].Error() != want {
+			t.Errorf("after %d: replay gave %v, want %q", after, err, want)
+		}
 	}
 }

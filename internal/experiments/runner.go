@@ -278,8 +278,9 @@ func (r *Runner) noteProgress() {
 // every cell submission — simulated, memoised or failed. now supplies the
 // wall clock for cell timing and may be nil (cells then report zero wall
 // time); the runner itself never reads a clock, keeping the determinism
-// lint meaningful. Calls are serialised; the observer must not invoke the
-// runner. A nil fn disables observation.
+// lint meaningful. Worker goroutines call now concurrently, so it must be
+// safe for concurrent use; only calls to fn are serialised. The observer
+// must not invoke the runner. A nil fn disables observation.
 func (r *Runner) SetCellObserver(fn func(CellEvent), now func() time.Time) {
 	r.obsMu.Lock()
 	r.observer = fn
@@ -608,7 +609,7 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, rc *recipe) (r
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
-			err = cellErr(string(debug.Stack()), fmt.Errorf("%w: %v", ErrCellPanic, p))
+			err = cellErr(panicStack(p), fmt.Errorf("%w: %v", ErrCellPanic, p))
 		}
 	}()
 	if startObs != nil {
@@ -660,6 +661,17 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, rc *recipe) (r
 		simulate()
 	}
 	return res, err
+}
+
+// panicStack is the stack a contained panic reports: the recovering
+// goroutine's, preceded by the input producer's when the panic was raised
+// in the instruction stream and forwarded to the simulation (diag.Panic).
+func panicStack(p any) string {
+	stack := string(debug.Stack())
+	if fp, ok := p.(*diag.Panic); ok {
+		return fp.Stack + "\nre-raised by the simulation at:\n" + stack
+	}
+	return stack
 }
 
 // recipeError is a CellError for one cell of the recipe, carrying the full

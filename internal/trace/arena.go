@@ -18,7 +18,9 @@ import "portsim/internal/isa"
 //
 // Arenas are append-once: Materialize fills one and nothing mutates it
 // afterwards, so any number of Cursors — across goroutines — may read it
-// concurrently without synchronisation.
+// concurrently without synchronisation. The one exception is a Feed's
+// ring, whose chunk arenas its producer refills only after the single
+// consumer has handed them back.
 type Arena struct {
 	pc     []uint64
 	addr   []uint64
@@ -116,6 +118,26 @@ func (a *Arena) push(in *isa.Inst) {
 	a.meta = append(a.meta, m)
 }
 
+// truncate empties the arena, keeping its storage for a refill.
+func (a *Arena) truncate() {
+	a.pc, a.addr, a.target = a.pc[:0], a.addr[:0], a.target[:0]
+	a.class, a.dest, a.src1, a.src2 = a.class[:0], a.dest[:0], a.src1[:0], a.src2[:0]
+	a.size, a.meta = a.size[:0], a.meta[:0]
+}
+
+// appendRange appends instructions [lo, hi) of src.
+func (a *Arena) appendRange(src *Arena, lo, hi int) {
+	a.pc = append(a.pc, src.pc[lo:hi]...)
+	a.addr = append(a.addr, src.addr[lo:hi]...)
+	a.target = append(a.target, src.target[lo:hi]...)
+	a.class = append(a.class, src.class[lo:hi]...)
+	a.dest = append(a.dest, src.dest[lo:hi]...)
+	a.src1 = append(a.src1, src.src1[lo:hi]...)
+	a.src2 = append(a.src2, src.src2[lo:hi]...)
+	a.size = append(a.size, src.size[lo:hi]...)
+	a.meta = append(a.meta, src.meta[lo:hi]...)
+}
+
 // Len returns the number of instructions held.
 func (a *Arena) Len() int { return len(a.pc) }
 
@@ -166,34 +188,13 @@ func (a *Arena) Inst(i int, in *isa.Inst) {
 func (a *Arena) NewCursor() *Cursor { return &Cursor{a: a} }
 
 // Cursor replays an arena from the beginning. It implements Stream and
-// Batcher with zero allocations, and additionally exposes its position so
-// consumers that understand arenas (the core's fetch stage) can read the
-// packed arrays directly and advance in whole fetch groups.
+// Batcher with zero allocations; a Feed over a cursor also reads the
+// packed arrays directly, so the core's fetch stage advances it in whole
+// fetch groups.
 type Cursor struct {
 	a   *Arena
 	pos int
 }
-
-// Arena returns the backing arena.
-//
-//portlint:hotpath
-func (c *Cursor) Arena() *Arena { return c.a }
-
-// Pos returns the index of the next instruction to replay.
-//
-//portlint:hotpath
-func (c *Cursor) Pos() int { return c.pos }
-
-// Remaining returns how many instructions are left.
-//
-//portlint:hotpath
-func (c *Cursor) Remaining() int { return len(c.a.pc) - c.pos }
-
-// Advance consumes n instructions without decoding them. The caller must
-// not advance past the arena's length.
-//
-//portlint:hotpath
-func (c *Cursor) Advance(n int) { c.pos += n }
 
 // Next implements Stream.
 //

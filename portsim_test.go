@@ -1,6 +1,7 @@
 package portsim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"portsim"
@@ -141,5 +142,28 @@ func TestSeedsChangeResults(t *testing.T) {
 	}
 	if ipc(3) != ipc(3) {
 		t.Error("same seed produced different IPC; determinism broken")
+	}
+}
+
+// TestUnrunSimulationStartsNothing checks that building a simulation over
+// a live stream starts no goroutine: the input producer belongs to Run,
+// and a simulation that never runs must not leave one behind.
+func TestUnrunSimulationStartsNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for seed := int64(0); seed < 4; seed++ {
+		if _, err := portsim.New(portsim.BaselineConfig(), "compress", seed); err != nil {
+			t.Fatal(err)
+		}
+		prof, _ := portsim.WorkloadByName("mp3d")
+		if _, err := portsim.NewFromProfile(portsim.BestSingleConfig(), prof, seed); err != nil {
+			t.Fatal(err)
+		}
+		stream := trace.NewSliceStream([]isa.Inst{{PC: 0x1000, Class: isa.IntALU, Dest: 1}})
+		if _, err := portsim.NewFromStream(portsim.BaselineConfig(), stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after building simulations, want at most %d", n, base)
 	}
 }
