@@ -20,9 +20,6 @@ type DirPredictor interface {
 	// Update trains the predictor with the actual outcome of the branch
 	// at pc. Implementations must be called in program order.
 	Update(pc uint64, taken bool)
-	// Reset restores the predictor to its just-constructed state, so a
-	// pooled simulation can reuse its tables for a fresh run.
-	Reset()
 }
 
 // counter is a two-bit saturating counter: 0,1 predict not-taken; 2,3
@@ -55,9 +52,6 @@ func (Static) Predict(uint64) bool { return false }
 // Update is a no-op.
 func (Static) Update(uint64, bool) {}
 
-// Reset is a no-op.
-func (Static) Reset() {}
-
 // Bimodal is a per-branch table of two-bit counters indexed by PC.
 type Bimodal struct {
 	table []counter
@@ -86,14 +80,6 @@ func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.index(pc)].taken() 
 func (b *Bimodal) Update(pc uint64, taken bool) {
 	i := b.index(pc)
 	b.table[i] = b.table[i].train(taken)
-}
-
-// Reset implements DirPredictor: every counter returns to weakly not-taken,
-// exactly as NewBimodal left it.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 1
-	}
 }
 
 // Gshare XORs a global branch-history register with the PC to index a shared
@@ -142,15 +128,6 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	}
 }
 
-// Reset implements DirPredictor: counters return to weakly not-taken and
-// the global history clears, exactly as NewGshare left them.
-func (g *Gshare) Reset() {
-	for i := range g.table {
-		g.table[i] = 1
-	}
-	g.history = 0
-}
-
 // btbEntry is one BTB way.
 type btbEntry struct {
 	tag    uint64
@@ -164,7 +141,10 @@ type btbEntry struct {
 // a taken prediction without a BTB hit cannot be redirected and costs the
 // same bubble as a misprediction.
 type BTB struct {
-	sets    [][]btbEntry
+	// ways holds every set's ways back to back: set i is
+	// ways[i*assoc : (i+1)*assoc]. Empty when the BTB is disabled.
+	ways    []btbEntry
+	assoc   uint64
 	setMask uint64
 	clock   uint64
 }
@@ -181,19 +161,21 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("bpred: BTB set count %d not a power of two", nsets)
 	}
-	sets := make([][]btbEntry, nsets)
-	for i := range sets {
-		sets[i] = make([]btbEntry, assoc)
-	}
-	return &BTB{sets: sets, setMask: uint64(nsets - 1)}, nil
+	return &BTB{ways: make([]btbEntry, entries), assoc: uint64(assoc), setMask: uint64(nsets - 1)}, nil
+}
+
+// set returns the ways of the set the branch at pc maps to.
+func (b *BTB) set(pc uint64) []btbEntry {
+	i := ((pc >> 2) & b.setMask) * b.assoc
+	return b.ways[i : i+b.assoc]
 }
 
 // Lookup returns the stored target for pc and whether it was present.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	if len(b.sets) == 0 {
+	if len(b.ways) == 0 {
 		return 0, false
 	}
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	for i := range set {
 		if set[i].valid && set[i].tag == pc {
 			b.clock++
@@ -206,10 +188,10 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 
 // Insert records the target of the branch at pc, replacing the LRU way.
 func (b *BTB) Insert(pc, target uint64) {
-	if len(b.sets) == 0 {
+	if len(b.ways) == 0 {
 		return
 	}
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	b.clock++
 	victim := 0
 	for i := range set {
@@ -227,14 +209,6 @@ func (b *BTB) Insert(pc, target uint64) {
 		}
 	}
 	set[victim] = btbEntry{tag: pc, target: target, valid: true, lru: b.clock}
-}
-
-// Reset empties the BTB, restoring its just-constructed state.
-func (b *BTB) Reset() {
-	for _, set := range b.sets {
-		clear(set)
-	}
-	b.clock = 0
 }
 
 // RAS is a return-address stack with wrap-around overwrite on overflow, as
@@ -277,28 +251,12 @@ func (r *RAS) Pop() (uint64, bool) {
 // Depth returns the number of live entries.
 func (r *RAS) Depth() int { return r.top }
 
-// Reset empties the stack, restoring its just-constructed state.
-func (r *RAS) Reset() {
-	clear(r.stack)
-	r.top = 0
-	r.pos = 0
-}
-
 // Unit bundles a direction predictor, BTB and RAS as configured, and is the
 // interface the fetch stage uses.
 type Unit struct {
 	Dir DirPredictor
 	BTB *BTB
 	RAS *RAS
-}
-
-// Reset restores the whole unit to its just-constructed state, so a pooled
-// simulation reuses the (potentially large) predictor tables instead of
-// reallocating them per run.
-func (u *Unit) Reset() {
-	u.Dir.Reset()
-	u.BTB.Reset()
-	u.RAS.Reset()
 }
 
 // New builds a prediction unit from configuration. The configuration is

@@ -29,8 +29,11 @@ type way struct {
 // Level is the tag/state cache model. It is not safe for concurrent use;
 // the simulator is single-threaded by design (cycle-driven determinism).
 type Level struct {
-	geom    config.CacheGeom
-	sets    [][]way
+	geom config.CacheGeom
+	// ways holds every set's ways back to back: set i is
+	// ways[i*assoc : (i+1)*assoc].
+	ways    []way
+	assoc   uint64
 	setMask uint64
 	offBits uint
 	clock   uint64
@@ -64,24 +67,13 @@ func NewLevel(geom config.CacheGeom) (*Level, error) {
 	for 1<<offBits < geom.LineBytes {
 		offBits++
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*geom.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*geom.Assoc : (i+1)*geom.Assoc]
-	}
-	return &Level{geom: geom, sets: sets, setMask: uint64(nsets - 1), offBits: offBits}, nil
-}
-
-// Reset invalidates every line and zeroes the statistics, restoring the
-// level to its just-constructed state (the OnEvict hook is retained, and
-// does not fire: a reset is a teardown, not a replacement). Pooled
-// simulations reuse the tag arrays across runs through this.
-func (l *Level) Reset() {
-	for _, set := range l.sets {
-		clear(set)
-	}
-	l.clock = 0
-	l.hits, l.misses, l.writebacks, l.evictions = 0, 0, 0, 0
+	return &Level{
+		geom:    geom,
+		ways:    make([]way, nsets*geom.Assoc),
+		assoc:   uint64(geom.Assoc),
+		setMask: uint64(nsets - 1),
+		offBits: offBits,
+	}, nil
 }
 
 // Geom returns the level's geometry.
@@ -90,7 +82,11 @@ func (l *Level) Geom() config.CacheGeom { return l.geom }
 // LineAddr returns addr rounded down to its line.
 func (l *Level) LineAddr(addr uint64) uint64 { return addr &^ (uint64(l.geom.LineBytes) - 1) }
 
-func (l *Level) setIndex(addr uint64) uint64 { return (addr >> l.offBits) & l.setMask }
+// set returns the ways of the set addr maps to.
+func (l *Level) set(addr uint64) []way {
+	i := ((addr >> l.offBits) & l.setMask) * l.assoc
+	return l.ways[i : i+l.assoc]
+}
 
 func (l *Level) tagOf(addr uint64) uint64 { return addr >> l.offBits }
 
@@ -98,7 +94,7 @@ func (l *Level) tagOf(addr uint64) uint64 { return addr >> l.offBits }
 // write accesses, marks the line dirty. It returns whether the line was
 // present.
 func (l *Level) Lookup(addr uint64, write bool) bool {
-	set := l.sets[l.setIndex(addr)]
+	set := l.set(addr)
 	tag := l.tagOf(addr)
 	for i := range set {
 		if set[i].state != stateInvalid && set[i].tag == tag {
@@ -117,7 +113,7 @@ func (l *Level) Lookup(addr uint64, write bool) bool {
 
 // Contains probes without updating LRU or statistics.
 func (l *Level) Contains(addr uint64) bool {
-	set := l.sets[l.setIndex(addr)]
+	set := l.set(addr)
 	tag := l.tagOf(addr)
 	for i := range set {
 		if set[i].state != stateInvalid && set[i].tag == tag {
@@ -133,8 +129,7 @@ func (l *Level) Contains(addr uint64) bool {
 // (requiring a writeback). Installing an already-present line just refreshes
 // its state.
 func (l *Level) Install(addr uint64, write bool) (victimAddr uint64, victimDirty bool, evicted bool) {
-	setIdx := l.setIndex(addr)
-	set := l.sets[setIdx]
+	set := l.set(addr)
 	tag := l.tagOf(addr)
 	l.clock++
 	victim := 0
@@ -182,7 +177,7 @@ func (l *Level) Install(addr uint64, write bool) (victimAddr uint64, victimDirty
 // Invalidate removes the line containing addr if present, returning whether
 // it was present and dirty. The OnEvict hook fires for invalidations too.
 func (l *Level) Invalidate(addr uint64) (present, dirty bool) {
-	set := l.sets[l.setIndex(addr)]
+	set := l.set(addr)
 	tag := l.tagOf(addr)
 	for i := range set {
 		if set[i].state != stateInvalid && set[i].tag == tag {

@@ -31,7 +31,8 @@ type LineBufferSet struct {
 	chunkBytes uint64
 
 	// Parallel per-buffer state; every slice has the same length (the
-	// buffer count) and index i describes buffer i.
+	// buffer count) and index i describes buffer i. The three uint64
+	// columns share one backing array.
 	chunkAddr []uint64
 	readyAt   []uint64
 	lru       []uint64
@@ -49,11 +50,12 @@ func NewLineBufferSet(n int, chunkBytes int) *LineBufferSet {
 	if n < 0 {
 		n = 0
 	}
+	words := make([]uint64, 3*n)
 	return &LineBufferSet{
 		chunkBytes: uint64(chunkBytes),
-		chunkAddr:  make([]uint64, n),
-		readyAt:    make([]uint64, n),
-		lru:        make([]uint64, n),
+		chunkAddr:  words[0:n:n],
+		readyAt:    words[n : 2*n : 2*n],
+		lru:        words[2*n : 3*n : 3*n],
 		valid:      make([]bool, n),
 	}
 }
@@ -153,18 +155,6 @@ func (s *LineBufferSet) InvalidateAll() {
 			s.invalidations++
 		}
 	}
-}
-
-// Reset empties the set and zeroes the statistics, restoring the
-// just-constructed state (unlike InvalidateAll, which counts the
-// invalidations as simulated events).
-func (s *LineBufferSet) Reset() {
-	clear(s.chunkAddr)
-	clear(s.readyAt)
-	clear(s.lru)
-	clear(s.valid)
-	s.clock = 0
-	s.hits, s.fills, s.invalidations, s.misses = 0, 0, 0, 0
 }
 
 // Size returns the number of buffers.

@@ -183,36 +183,6 @@ func NewMemPort(cfg config.Ports, sys *mem.System) *MemPort {
 // port-side events.
 func (p *MemPort) SetRecorder(rec *diag.Recorder) { p.rec = rec }
 
-// Reset restores the port subsystem — grants, prefetch state, banking and
-// refill debts, store buffer, line buffers, statistics — to its
-// just-constructed state, reusing every backing structure. Part of the
-// pooled-simulation path; the configuration (and the L1D eviction hook) is
-// retained.
-func (p *MemPort) Reset() {
-	p.grants = 0
-	p.pfHead, p.pfCount = 0, 0
-	if p.prefetched != nil {
-		clear(p.prefetched)
-	}
-	p.prefetches, p.usefulPrefetch = 0, 0
-	for i := range p.bankBusy {
-		p.bankBusy[i] = false
-		p.bankDebt[i] = 0
-	}
-	p.bankConflicts = 0
-	p.pendingRefills = p.pendingRefills[:0]
-	p.refillDebt = 0
-	p.refillCycles = 0
-	p.loadPortAccesses, p.storePortAccesses = 0, 0
-	p.loadsBySource = [3]uint64{}
-	p.rejects = [5]uint64{}
-	p.cycles, p.busyGrants = 0, 0
-	p.grantHist.Reset()
-	p.lbs.Reset()
-	p.sb.Reset()
-	p.rec = nil
-}
-
 // LineBuffers exposes the load-all buffer set (statistics, tests).
 func (p *MemPort) LineBuffers() *LineBufferSet { return p.lbs }
 

@@ -48,7 +48,8 @@ type StoreBuffer struct {
 
 	// Parallel per-entry state; index i < n describes occupying entry i.
 	// Slices are allocated at full capacity up front so Insert and the
-	// Expire compaction never grow anything.
+	// Expire compaction never grow anything; the five uint64 columns share
+	// one backing array.
 	chunkAddr  []uint64
 	mask       []uint64
 	seq        []uint64
@@ -67,7 +68,7 @@ type StoreBuffer struct {
 
 	// drainCand memoises NextDrain's answer between mutations: the scan
 	// reads only chunkAddr, issued and n, so the result stays valid until
-	// Insert, MarkIssued, Expire compaction or Reset touches them. The
+	// Insert, MarkIssued or Expire compaction touches them. The
 	// arbiter asks every cycle while the buffer sits waiting, which
 	// without the memo is a quadratic rescan.
 	drainCand      int
@@ -89,31 +90,22 @@ func NewStoreBuffer(capacity, chunkBytes int, combining bool) *StoreBuffer {
 	if chunkBytes < 8 || chunkBytes > maxChunkBytes || chunkBytes&(chunkBytes-1) != 0 {
 		panic(fmt.Sprintf("core: unsupported chunk width %d", chunkBytes))
 	}
+	words := make([]uint64, 5*capacity)
+	col := func(k int) []uint64 { return words[k*capacity : (k+1)*capacity : (k+1)*capacity] }
 	return &StoreBuffer{
 		chunkBytes: uint64(chunkBytes),
 		capacity:   capacity,
 		combining:  combining,
-		chunkAddr:  make([]uint64, capacity),
-		mask:       make([]uint64, capacity),
-		seq:        make([]uint64, capacity),
-		insertedAt: make([]uint64, capacity),
-		drainDone:  make([]uint64, capacity),
+		chunkAddr:  col(0),
+		mask:       col(1),
+		seq:        col(2),
+		insertedAt: col(3),
+		drainDone:  col(4),
 		issued:     make([]bool, capacity),
 		data:       make([][maxChunkBytes]byte, capacity),
 		nextExpiry: noExpiry,
 		expired:    make([]SBEntry, capacity),
 	}
-}
-
-// Reset empties the buffer and zeroes the statistics, restoring the
-// just-constructed state while keeping the entry storage.
-func (b *StoreBuffer) Reset() {
-	b.n = 0
-	b.nextSeq = 0
-	b.nextExpiry = noExpiry
-	b.drainCandValid = false
-	b.inserts, b.combined, b.drains, b.forwards, b.conflicts = 0, 0, 0, 0, 0
-	b.occupancySamples, b.occupancySum = 0, 0
 }
 
 // ChunkAddr returns addr rounded down to its aligned chunk.

@@ -110,3 +110,57 @@ func TestStepDoesNotAllocateWithRecorder(t *testing.T) {
 		})
 	}
 }
+
+// newAllocBudget is the most heap objects cpu.New may allocate for one
+// core. Every structure is carved from a few shared backing arrays, so the
+// count does not grow with cache sets, BTB sets or register-file size.
+const newAllocBudget = 45
+
+// TestNewAllocationBudget keeps core construction slab-light: a campaign
+// builds a fresh core for every simulated cell, so a structure that grows
+// one allocation per set or per entry shows up in every cell's setup.
+func TestNewAllocationBudget(t *testing.T) {
+	for _, m := range []config.Machine{config.Baseline(), config.BestSingle()} {
+		m := m
+		t.Run(m.Name, func(t *testing.T) {
+			g, err := workload.New(mustProfile(t, "compress"), 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(20, func() {
+				if _, err := New(&m, g); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > newAllocBudget {
+				t.Errorf("cpu.New allocates %v objects; budget %d", avg, newAllocBudget)
+			}
+		})
+	}
+}
+
+// coreSink keeps BenchmarkCoreNew's result live.
+var coreSink *Core
+
+// BenchmarkCoreNew reports the construction cost of one core (run with
+// -benchmem for allocs/op and B/op).
+func BenchmarkCoreNew(b *testing.B) {
+	for _, m := range []config.Machine{config.Baseline(), config.BestSingle()} {
+		m := m
+		b.Run(m.Name, func(b *testing.B) {
+			g, err := workload.New(mustProfile(b, "compress"), 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := New(&m, g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				coreSink = c
+			}
+		})
+	}
+}

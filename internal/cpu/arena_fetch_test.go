@@ -110,73 +110,6 @@ func compareResults(t *testing.T, what string, live, replay *Result) {
 	}
 }
 
-// TestResetCursorMatchesFresh extends the pooling contract to the arena
-// path: a core built for a live generator and reset onto a cursor must
-// behave exactly like a core constructed fresh on that cursor, and vice
-// versa — cells of either stream kind share one pool.
-func TestResetCursorMatchesFresh(t *testing.T) {
-	const insts = 8_000
-	m := config.Baseline()
-	a := arenaFor(t, "compress", 42, insts)
-	opts := Options{MaxInstructions: insts, DeadlineCycles: DeadlineFor(insts), StallCycles: DefaultStallCycles}
-
-	fresh, err := New(&m, a.NewCursor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gen, err := workload.New(mustProfile(t, "eqntott"), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := New(&m, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pooled.Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := pooled.Reset(a.NewCursor()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pooled.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, "reset-to-cursor", want, got)
-
-	// And back: a cursor-born core reset onto a live generator must match a
-	// generator-fresh core.
-	gen2, err := workload.New(mustProfile(t, "compress"), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genFresh, err := New(&m, gen2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantGen, err := genFresh.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen3, err := workload.New(mustProfile(t, "compress"), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Reset(gen3); err != nil {
-		t.Fatal(err)
-	}
-	gotGen, err := fresh.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, "reset-to-generator", wantGen, gotGen)
-}
-
 // TestStepDoesNotAllocateWithCursor is the zero-alloc proof for a
 // whole-arena input: steady-state cycles fetching whole groups from an
 // arena cursor never touch the heap.

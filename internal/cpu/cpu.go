@@ -384,29 +384,38 @@ func newCore(cfg *config.Machine, stream trace.Stream, chunkLen int) (*Core, err
 	if err != nil {
 		return nil, err
 	}
+	cc := &cfg.Core
+	intFreeRegs, fpFreeRegs := cc.IntPhysRegs-32, cc.FPPhysRegs-32
+	sqSlots := pow2AtLeast(cc.StoreQueueEntries)
 	c := &Core{
 		cfg:          cfg,
 		sys:          sys,
 		port:         core.NewMemPort(cfg.Ports, sys),
 		pred:         pred,
-		in:           trace.NewFeed(cfg.Core.FetchWidth-1, chunkLen),
-		rob:          make([]robEntry, cfg.Core.ROBEntries),
-		liveList:     make([]int32, cfg.Core.ROBEntries),
-		liveStores:   make([]int32, cfg.Core.StoreQueueEntries),
-		wakeHeap:     make([]wakeEntry, 0, cfg.Core.ROBEntries),
-		issList:      make([]int32, cfg.Core.ROBEntries),
-		sqRing:       make([]int32, pow2AtLeast(cfg.Core.StoreQueueEntries)),
-		fetchBuf:     make([]fetchedInst, 4*cfg.Core.FetchWidth),
+		in:           trace.NewFeed(stream, cc.FetchWidth-1, chunkLen),
+		fetchOps:     make([]bpred.Op, cc.FetchWidth),
+		rob:          make([]robEntry, cc.ROBEntries),
+		wakeHeap:     make([]wakeEntry, 0, cc.ROBEntries),
+		fetchBuf:     make([]fetchedInst, 4*cc.FetchWidth),
 		nextDoneAt:   never,
 		curFetchLine: ^uint64(0),
 		sqGen:        1,
 	}
-	c.in.Reset(stream)
-	c.fetchOps = make([]bpred.Op, cfg.Core.FetchWidth)
-	c.intReady = make([]uint64, cfg.Core.IntPhysRegs)
-	c.fpReady = make([]uint64, cfg.Core.FPPhysRegs)
-	c.intWaiter = make([]int32, cfg.Core.IntPhysRegs)
-	c.fpWaiter = make([]int32, cfg.Core.FPPhysRegs)
+	// The fixed-size index, ready-time and free-list slices are carved
+	// from one backing array per element type, each capacity-limited.
+	idx := make([]int32, 2*cc.ROBEntries+cc.StoreQueueEntries+sqSlots+cc.IntPhysRegs+cc.FPPhysRegs)
+	c.liveList = carve(&idx, cc.ROBEntries)
+	c.issList = carve(&idx, cc.ROBEntries)
+	c.liveStores = carve(&idx, cc.StoreQueueEntries)
+	c.sqRing = carve(&idx, sqSlots)
+	c.intWaiter = carve(&idx, cc.IntPhysRegs)
+	c.fpWaiter = carve(&idx, cc.FPPhysRegs)
+	ready := make([]uint64, cc.IntPhysRegs+cc.FPPhysRegs)
+	c.intReady = carve(&ready, cc.IntPhysRegs)
+	c.fpReady = carve(&ready, cc.FPPhysRegs)
+	free := make([]int16, intFreeRegs+fpFreeRegs)
+	c.intFree = carve(&free, intFreeRegs)[:0]
+	c.fpFree = carve(&free, fpFreeRegs)[:0]
 	for i := range c.intWaiter {
 		c.intWaiter[i] = -1
 	}
@@ -419,85 +428,21 @@ func newCore(cfg *config.Machine, stream trace.Stream, chunkLen int) (*Core, err
 		c.intMap[i] = int16(i)
 		c.fpMap[i] = int16(i)
 	}
-	for i := 32; i < cfg.Core.IntPhysRegs; i++ {
+	for i := 32; i < cc.IntPhysRegs; i++ {
 		c.intFree = append(c.intFree, int16(i))
 	}
-	for i := 32; i < cfg.Core.FPPhysRegs; i++ {
+	for i := 32; i < cc.FPPhysRegs; i++ {
 		c.fpFree = append(c.fpFree, int16(i))
 	}
 	return c, nil
 }
 
-// Reset restores the core — pipeline, renamer, predictors, port subsystem,
-// memory hierarchy — to exactly the state New would have produced for the
-// same configuration, rewired to a fresh stream. Every backing array is
-// reused, so a pooled simulation pays no per-cell allocation for the large
-// structures (cache tags, predictor tables, register files, the input
-// ring). The caller must guarantee the machine configuration is unchanged;
-// the equivalence with a freshly constructed core is what
-// TestResetMatchesFresh checks.
-func (c *Core) Reset(stream trace.Stream) error {
-	if stream == nil {
-		return errors.New("cpu: nil instruction stream")
-	}
-	c.sys.Reset()
-	c.port.Reset()
-	c.pred.Reset()
-	c.in.Reset(stream)
-	c.cycle, c.seq = 0, 0
-	clear(c.rob)
-	c.robHead, c.robCount = 0, 0
-	c.committed, c.maxInsts = 0, 0
-	c.issCount = 0
-	c.nextDoneAt = never
-	c.liveCount = 0
-	c.liveStoreCount = 0
-	c.wakeHeap = c.wakeHeap[:0]
-	c.sqHead, c.sqTail = 0, 0
-	c.sqGen = 1
-	clear(c.intReady)
-	clear(c.fpReady)
-	for i := range c.intWaiter {
-		c.intWaiter[i] = -1
-	}
-	for i := range c.fpWaiter {
-		c.fpWaiter[i] = -1
-	}
-	c.intFree = c.intFree[:0]
-	c.fpFree = c.fpFree[:0]
-	for i := 0; i < 32; i++ {
-		c.intMap[i] = int16(i)
-		c.fpMap[i] = int16(i)
-	}
-	for i := 32; i < c.cfg.Core.IntPhysRegs; i++ {
-		c.intFree = append(c.intFree, int16(i))
-	}
-	for i := 32; i < c.cfg.Core.FPPhysRegs; i++ {
-		c.fpFree = append(c.fpFree, int16(i))
-	}
-	c.intQCount, c.fpQCount = 0, 0
-	c.lqCount, c.sqCount = 0, 0
-	c.intDivFreeAt, c.fpDivFreeAt = 0, 0
-	c.readyGen = 0
-	clear(c.fetchBuf)
-	c.fbHead, c.fbCount = 0, 0
-	c.fetchBlockedTil = 0
-	c.stallSeq = 0
-	c.stallOnCommit = false
-	c.curFetchLine = ^uint64(0)
-	c.streamDone = false
-	c.wrongPathPC, c.wrongPathLines = 0, 0
-	c.lastCommitSeq = 0
-	c.rec = nil
-	c.acct = nil
-	c.lastBucket = cpustack.NumBuckets
-	c.loads, c.stores, c.branches, c.mispredicts = 0, 0, 0, 0
-	c.memViolations, c.lsqForwards = 0, 0
-	c.userInsts, c.kernelInsts = 0, 0
-	c.fetchStallCycles, c.robFullCycles = 0, 0
-	c.commitStallSB = 0
-	c.classCount = [isa.NumClasses]uint64{}
-	return nil
+// carve returns the first n elements of *backing as a capacity-limited
+// slice and advances *backing past them.
+func carve[T any](backing *[]T, n int) []T {
+	s := (*backing)[:n:n]
+	*backing = (*backing)[n:]
+	return s
 }
 
 // Port exposes the memory-port subsystem for inspection.
@@ -750,9 +695,9 @@ func (c *Core) retire(e *robEntry) {
 	in := &e.inst
 	if e.prevPhys >= 0 {
 		if in.Dest.IsFP() {
-			c.fpFree = append(c.fpFree, e.prevPhys) //portlint:ignore hotpath free-list capacity is FPPhysRegs, fixed at construction; the renamer's conservation law keeps len <= cap
+			c.fpFree = append(c.fpFree, e.prevPhys) //portlint:ignore hotpath newCore sets the free list's capacity to FPPhysRegs-32; the 32 architectural registers are always mapped, so at most FPPhysRegs-32 are ever free
 		} else {
-			c.intFree = append(c.intFree, e.prevPhys) //portlint:ignore hotpath free-list capacity is IntPhysRegs, fixed at construction; the renamer's conservation law keeps len <= cap
+			c.intFree = append(c.intFree, e.prevPhys) //portlint:ignore hotpath newCore sets the free list's capacity to IntPhysRegs-32; the 32 architectural registers are always mapped, so at most IntPhysRegs-32 are ever free
 		}
 	}
 	if e.mispredicted {

@@ -414,3 +414,12 @@ func TestDeadlineForSaturates(t *testing.T) {
 		}
 	}
 }
+
+func mustProfile(t testing.TB, name string) workload.Profile {
+	t.Helper()
+	p, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("unknown workload %q", name)
+	}
+	return p
+}

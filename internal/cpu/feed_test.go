@@ -326,48 +326,6 @@ func TestProducerPanicForwardedAtItsInstruction(t *testing.T) {
 	}
 }
 
-// TestPooledResetReusesRing checks that the input ring is allocated once
-// per core: a pooled Reset followed by Run allocates far less than one
-// ring, and so does building a core that never runs.
-func TestPooledResetReusesRing(t *testing.T) {
-	const insts = 2_000
-	m := config.Baseline()
-	newGen := func() trace.Stream {
-		g, err := workload.New(mustProfile(t, "compress"), 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	c, err := New(&m, newGen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(Options{MaxInstructions: insts}); err != nil {
-		t.Fatal(err)
-	}
-	// One ring: four chunks of 2048 instructions at 30 bytes each.
-	const ring = 4 * 2048 * trace.BytesPerInst
-	allocated := func(fn func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	got := allocated(func() {
-		if err := c.Reset(newGen()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Run(Options{MaxInstructions: insts}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got >= ring/2 {
-		t.Errorf("pooled Reset+Run allocated %d bytes; a ring is %d, so the ring was not reused", got, ring)
-	}
-}
-
 // TestNewStartsNoGoroutine checks that building a core over a live stream
 // starts nothing: the producer belongs to Run.
 func TestNewStartsNoGoroutine(t *testing.T) {

@@ -195,16 +195,6 @@ func (s *Stack) Snapshot() *Snapshot {
 	return &snap
 }
 
-// Reset zeroes every bucket (pooled-core reuse).
-func (s *Stack) Reset() {
-	if s == nil {
-		return
-	}
-	for b := range s.buckets {
-		s.buckets[b].Store(0)
-	}
-}
-
 // Snapshot is a frozen CPI stack: plain counters, safe to copy, compare
 // and serialise.
 type Snapshot struct {

@@ -181,15 +181,6 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*memoEntry
 
-	// Core pool: finished cores keyed by machine-config JSON, reset and
-	// reused by later cells with the identical configuration so a campaign
-	// does not reallocate cache tags, predictor tables and register files
-	// per cell. Cores from failed or panicked cells are never returned.
-	poolMu   sync.Mutex
-	pool     map[string][]*cpu.Core
-	poolHits atomic.Uint64
-	poolMiss atomic.Uint64
-
 	// simCycles and simInsts accumulate over actual simulations only —
 	// memoised cache hits are excluded — so host-throughput reports
 	// (cmd/portbench) divide real simulated work by real wall time.
@@ -235,7 +226,6 @@ func NewRunner(spec Spec) *Runner {
 		spec:     spec,
 		parallel: parallel,
 		cache:    make(map[string]*memoEntry),
-		pool:     make(map[string][]*cpu.Core),
 	}
 	budget := spec.ArenaBudget
 	if budget == 0 {
@@ -483,54 +473,10 @@ func (r *Runner) simulate(m config.Machine, rc *recipe) (*cpu.Result, error) {
 	return r.runStream(m, stream, rc)
 }
 
-// acquireCore returns a core for the machine, reusing a pooled one (reset
-// for the new stream) when an identical configuration has already finished
-// a cell. The returned key re-pools the core via releaseCore; an empty key
-// means the core is not poolable (fault-armed cells mutate their machine
-// configuration mid-construction, so their cores are built and dropped).
-func (r *Runner) acquireCore(m *config.Machine, stream trace.Stream, poolable bool) (*cpu.Core, string, error) {
-	if !poolable {
-		c, err := cpu.New(m, stream)
-		return c, "", err
-	}
-	cfgJSON, err := m.ToJSON()
-	if err != nil {
-		return nil, "", err
-	}
-	key := string(cfgJSON)
-	r.poolMu.Lock()
-	if cores := r.pool[key]; len(cores) > 0 {
-		c := cores[len(cores)-1]
-		r.pool[key] = cores[:len(cores)-1]
-		r.poolMu.Unlock()
-		r.poolHits.Add(1)
-		return c, key, c.Reset(stream)
-	}
-	r.poolMu.Unlock()
-	r.poolMiss.Add(1)
-	c, err := cpu.New(m, stream)
-	return c, key, err
-}
-
-// releaseCore returns a healthy core to the pool. The per-key depth is
-// bounded by the worker count: beyond that, extra cores could never be in
-// use simultaneously anyway.
-func (r *Runner) releaseCore(key string, c *cpu.Core) {
-	if key == "" {
-		return
-	}
-	r.poolMu.Lock()
-	if len(r.pool[key]) < r.parallel {
-		r.pool[key] = append(r.pool[key], c)
-	}
-	r.poolMu.Unlock()
-}
-
-// PoolStats reports how many cells reused a pooled core versus built one,
-// for tests and throughput diagnostics.
-func (r *Runner) PoolStats() (hits, misses uint64) {
-	return r.poolHits.Load(), r.poolMiss.Load()
-}
+// PoolStats always reports (0, 0): a Runner keeps no core pool, since every
+// cell builds its own core with cpu.New. It is kept for the benchmark's
+// experiments.core_pool_hit_rate row and goes when that row does.
+func (r *Runner) PoolStats() (hits, misses uint64) { return 0, 0 }
 
 // runStream simulates the recipe's opened stream (not memoised). This is
 // the cell crash boundary: a panic anywhere in the simulation — the
@@ -545,11 +491,11 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, rc *recipe) (r
 	// forensic ring, armed only when requested or fault-poisoned.
 	traceRec := r.armTrace(m.Name, what)
 	rec := traceRec
-	poolable := !r.spec.Fault.applies(what)
-	if rec == nil && (r.spec.FlightRecorder || !poolable) {
+	armed := r.spec.Fault.applies(what)
+	if rec == nil && (r.spec.FlightRecorder || armed) {
 		rec = diag.NewRecorder(0)
 	}
-	if !poolable {
+	if armed {
 		stream = r.spec.Fault.arm(&m, stream)
 	}
 	cellErr := func(stack string, cause error) *CellError {
@@ -623,8 +569,7 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, rc *recipe) (r
 	}
 	simulate := func() {
 		var c *cpu.Core
-		var key string
-		c, key, err = r.acquireCore(&m, stream, poolable)
+		c, err = cpu.New(&m, stream)
 		if err != nil {
 			return
 		}
@@ -636,15 +581,12 @@ func (r *Runner) runStream(m config.Machine, stream trace.Stream, rc *recipe) (r
 			CPIStack:        stack,
 		})
 		if err != nil {
-			// The failed core is dropped, not pooled: its state is part
-			// of the failure evidence and may be wedged.
 			res = nil
 			err = cellErr("", fmt.Errorf("experiments: %s on %s: %w", what, m.Name, err))
 			return
 		}
 		r.simCycles.Add(res.Cycles)
 		r.simInsts.Add(res.Instructions)
-		r.releaseCore(key, c)
 	}
 	if obs != nil || startObs != nil {
 		// With a telemetry plane attached, label the simulation goroutine

@@ -48,12 +48,6 @@ func (d *DRAM) Access(now uint64) uint64 {
 // Accesses returns the number of DRAM accesses performed.
 func (d *DRAM) Accesses() uint64 { return d.accesses }
 
-// Reset restores the just-constructed state (channel idle, no accesses).
-func (d *DRAM) Reset() {
-	d.nextFree = 0
-	d.accesses = 0
-}
-
 // mshrEntry is one outstanding line fill: the line address and the cycle
 // the fill completes.
 type mshrEntry struct {
@@ -69,12 +63,24 @@ type mshrFile struct {
 	fills []mshrEntry // outstanding fills, oldest first
 }
 
-func newMSHRFile(limit int) *mshrFile {
-	capHint := limit
-	if capHint <= 0 {
-		capHint = 8
+// mshrCap is the fill capacity reserved for an MSHR file of the given
+// limit; an unlimited file starts at eight and grows by append.
+func mshrCap(limit int) int {
+	if limit <= 0 {
+		return 8
 	}
-	return &mshrFile{limit: limit, fills: make([]mshrEntry, 0, capHint)}
+	return limit
+}
+
+// newMSHRFile returns an MSHR file of the given limit whose fills are cut
+// from the front of *backing, which it advances. The slice is capacity-
+// limited, so a growing unlimited file reallocates instead of spilling
+// into its neighbour.
+func newMSHRFile(limit int, backing *[]mshrEntry) mshrFile {
+	n := mshrCap(limit)
+	f := mshrFile{limit: limit, fills: (*backing)[:0:n]}
+	*backing = (*backing)[n:]
+	return f
 }
 
 // expire drops completed fills, preserving the order of the survivors.
@@ -102,9 +108,6 @@ func (f *mshrFile) outstanding(lineAddr uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// reset drops every outstanding fill.
-func (f *mshrFile) reset() { f.fills = f.fills[:0] }
 
 // full reports whether a new fill cannot be accepted.
 func (f *mshrFile) full() bool { return f.limit > 0 && len(f.fills) >= f.limit }
@@ -144,9 +147,9 @@ type System struct {
 	L2       *cache.Level
 	ITLB     *TLB
 	DTLB     *TLB
-	dram     *DRAM
+	dram     DRAM
 
-	l1iMSHR, l1dMSHR, l2MSHR *mshrFile
+	l1iMSHR, l1dMSHR, l2MSHR mshrFile
 	l1dWriteThrough          bool
 
 	// Writeback accounting: dirty victims consume a DRAM slot.
@@ -175,6 +178,8 @@ func NewSystem(m *config.Machine) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mem: DTLB: %w", err)
 	}
+	// The three MSHR files share one backing array.
+	fills := make([]mshrEntry, mshrCap(m.L1I.MSHRs)+mshrCap(m.L1D.MSHRs)+mshrCap(m.Mem.L2.MSHRs))
 	return &System{
 		L1I:             l1i,
 		L1D:             l1d,
@@ -182,10 +187,10 @@ func NewSystem(m *config.Machine) (*System, error) {
 		ITLB:            itlb,
 		DTLB:            dtlb,
 		l1dWriteThrough: m.L1D.WriteThrough,
-		dram:            NewDRAM(m.Mem),
-		l1iMSHR:         newMSHRFile(m.L1I.MSHRs),
-		l1dMSHR:         newMSHRFile(m.L1D.MSHRs),
-		l2MSHR:          newMSHRFile(m.Mem.L2.MSHRs),
+		dram:            *NewDRAM(m.Mem),
+		l1iMSHR:         newMSHRFile(m.L1I.MSHRs, &fills),
+		l1dMSHR:         newMSHRFile(m.L1D.MSHRs, &fills),
+		l2MSHR:          newMSHRFile(m.Mem.L2.MSHRs, &fills),
 	}, nil
 }
 
@@ -199,23 +204,6 @@ func (s *System) DRAMAccesses() uint64 { return s.dram.Accesses() }
 //
 //portlint:hotpath
 func (s *System) DRAMBusy(now uint64) bool { return s.dram.nextFree > now }
-
-// Reset restores the whole hierarchy — caches, TLBs, MSHR files, DRAM — to
-// its just-constructed state, reusing every backing array. Pooled
-// simulations call this between cells so a campaign does not reallocate
-// the (large) cache and predictor structures per cell.
-func (s *System) Reset() {
-	s.L1I.Reset()
-	s.L1D.Reset()
-	s.L2.Reset()
-	s.ITLB.Reset()
-	s.DTLB.Reset()
-	s.dram.Reset()
-	s.l1iMSHR.reset()
-	s.l1dMSHR.reset()
-	s.l2MSHR.reset()
-	s.l2Writebacks = 0
-}
 
 // fillFromL2 charges the time to obtain a line from L2 (or below) starting
 // at cycle `at`, installing it into L2 as needed, and returns the cycle the
@@ -290,7 +278,7 @@ func (s *System) access(l1 *cache.Level, mshr *mshrFile, now uint64, addr uint64
 // the page-walk latency before the cache access starts.
 func (s *System) InstFetch(now, pc uint64) AccessResult {
 	now += s.ITLB.Translate(pc)
-	return s.access(s.L1I, s.l1iMSHR, now, pc, false)
+	return s.access(s.L1I, &s.l1iMSHR, now, pc, false)
 }
 
 // DataAccess models a data access at cycle now, including the DTLB lookup;
@@ -300,7 +288,7 @@ func (s *System) DataAccess(now, addr uint64, write bool) AccessResult {
 	if write && s.l1dWriteThrough {
 		return s.writeThrough(now, addr)
 	}
-	return s.access(s.L1D, s.l1dMSHR, now, addr, write)
+	return s.access(s.L1D, &s.l1dMSHR, now, addr, write)
 }
 
 // writeThrough performs a store against a write-through, no-write-allocate

@@ -108,15 +108,6 @@ func (t *TLB) FlushAll() {
 	}
 }
 
-// Reset invalidates every entry and zeroes the statistics, restoring the
-// just-constructed state for pooled reuse.
-func (t *TLB) Reset() {
-	clear(t.entries)
-	t.clock = 0
-	t.mru = 0
-	t.hits, t.misses = 0, 0
-}
-
 // Hits and Misses return lookup statistics.
 func (t *TLB) Hits() uint64   { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }

@@ -117,13 +117,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Reset zeroes every bucket and summary statistic, restoring the
-// just-constructed state while keeping the bucket array.
-func (h *Histogram) Reset() {
-	clear(h.buckets)
-	h.overflow, h.count, h.sum, h.max = 0, 0, 0, 0
-}
-
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
 

@@ -55,10 +55,10 @@ type chunk struct {
 // panicked. A Batcher source is drained a batch at a time, so a panic
 // inside NextBatch surfaces at the first instruction of that batch.
 //
-// Lifecycle: Reset binds a source and allocates nothing; Start starts (or
-// resumes) the producer, allocating the ring on a Feed's first start only;
-// Stop stops and joins it. Instructions already produced survive a Stop,
-// so a later Start continues the stream where the consumer left it.
+// Lifecycle: NewFeed binds the source and allocates no ring; Start starts
+// (or resumes) the producer, allocating the ring on a Feed's first start
+// only; Stop stops and joins it. Instructions already produced survive a
+// Stop, so a later Start continues the stream where the consumer left it.
 type Feed struct {
 	// Consumer state. cur is the read position: the caller's cursor for a
 	// whole arena, or own, re-pointed at each chunk as it arrives. limit
@@ -90,42 +90,24 @@ type Feed struct {
 	done  bool   // the final chunk has been handed over
 }
 
-// NewFeed returns an unbound Feed whose consumer reads up to lookahead
+// NewFeed returns a Feed over src whose consumer reads up to lookahead
 // instructions past its position (a fetch group's width, less one).
 // chunkLen is the ring's chunk length in instructions; zero or less
 // selects the default. Tests pass small lengths to put chunk boundaries
 // everywhere; production callers pass zero.
-func NewFeed(lookahead, chunkLen int) *Feed {
+func NewFeed(src Stream, lookahead, chunkLen int) *Feed {
 	if chunkLen <= 0 {
 		chunkLen = feedChunk
 	}
-	return &Feed{lookahead: lookahead, chunkLen: chunkLen}
-}
-
-// Reset binds the feed to a new source, discarding whatever remains of the
-// previous one. The feed must be stopped.
-func (f *Feed) Reset(src Stream) {
-	if f.held != nil {
-		f.free <- f.held
-		f.held = nil
-	}
-	if f.fill != nil {
-		f.free <- f.fill
-		f.fill = nil
-	}
-	for f.full != nil && len(f.full) > 0 {
-		f.free <- <-f.full
-	}
-	f.prev, f.done = nil, false
-	f.src, f.batch = nil, nil
+	f := &Feed{lookahead: lookahead, chunkLen: chunkLen}
 	if cur, ok := src.(*Cursor); ok {
 		f.cur, f.limit = cur, math.MaxInt
-		return
+		return f
 	}
 	f.src = src
 	f.batch, _ = src.(Batcher)
-	f.own = Cursor{}
 	f.cur = &f.own
+	return f
 }
 
 // Start starts the producer, or resumes it after a Stop, and waits for the

@@ -61,8 +61,7 @@ func TestFeedDeliversSourceInOrder(t *testing.T) {
 					if batched {
 						src = batchOnly{NewSliceStream(want)}
 					}
-					f := NewFeed(lookahead, chunk)
-					f.Reset(src)
+					f := NewFeed(src, lookahead, chunk)
 					f.Start()
 					got := drainFeed(t, f, total, lookahead, step)
 					f.Stop()
@@ -85,8 +84,7 @@ func TestFeedDeliversSourceInOrder(t *testing.T) {
 func TestFeedWholeArenaStartsNothing(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cur := Materialize(NewSliceStream(arenaTestProgram(100)), 100).NewCursor()
-	f := NewFeed(3, 0)
-	f.Reset(cur)
+	f := NewFeed(cur, 3, 0)
 	f.Start()
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after Start over a cursor, want at most %d", n, base)
@@ -101,16 +99,15 @@ func TestFeedWholeArenaStartsNothing(t *testing.T) {
 	f.Stop()
 }
 
-// TestFeedReusesRingAndResumes checks the lifecycle: the ring survives
-// Reset, a Stop mid-stream loses nothing, and a Reset discards the old
-// source's leftovers.
+// TestFeedReusesRingAndResumes checks the lifecycle: NewFeed allocates no
+// ring, and a Stop mid-stream loses nothing and keeps the ring for the
+// next Start.
 func TestFeedReusesRingAndResumes(t *testing.T) {
 	prog := arenaTestProgram(500)
-	f := NewFeed(3, 16)
+	f := NewFeed(NewSliceStream(prog), 3, 16)
 	if f.ring != nil {
 		t.Fatal("NewFeed allocated a ring")
 	}
-	f.Reset(NewSliceStream(prog))
 	f.Start()
 	ring := &f.ring[0]
 	var got []isa.Inst
@@ -123,6 +120,9 @@ func TestFeedReusesRingAndResumes(t *testing.T) {
 	}
 	f.Stop()
 	f.Start()
+	if &f.ring[0] != ring {
+		t.Error("Stop+Start allocated a new ring")
+	}
 	got = append(got, drainFeed(t, f, 400, 3, 2)...)
 	f.Stop()
 	for i := range prog {
@@ -130,31 +130,13 @@ func TestFeedReusesRingAndResumes(t *testing.T) {
 			t.Fatalf("resumed stream diverged at %d", i)
 		}
 	}
-
-	other := arenaTestProgram(50)
-	for i := range other {
-		other[i].PC += 1 << 20
-	}
-	f.Reset(NewSliceStream(other))
-	f.Start()
-	if &f.ring[0] != ring {
-		t.Error("Reset+Start allocated a new ring")
-	}
-	a, pos := f.Window()
-	var first isa.Inst
-	a.Inst(pos, &first)
-	f.Stop()
-	if first != other[0] {
-		t.Errorf("after Reset the feed delivered %+v, want the new source's first %+v", first, other[0])
-	}
 }
 
 // TestFeedForwardsSourcePanic checks that a source panic is held on the
 // producer and raised by Fault, with the instructions before it delivered.
 func TestFeedForwardsSourcePanic(t *testing.T) {
 	prog := arenaTestProgram(30)
-	f := NewFeed(3, 8)
-	f.Reset(&explodeAfter{NewSliceStream(prog), 20})
+	f := NewFeed(&explodeAfter{NewSliceStream(prog), 20}, 3, 8)
 	f.Start()
 	defer f.Stop()
 	got := drainFeed(t, f, 20, 3, 1)

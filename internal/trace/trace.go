@@ -57,9 +57,6 @@ func (s *SliceStream) Next(in *isa.Inst) bool {
 	return true
 }
 
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Limit wraps a stream and truncates it after n instructions.
 type Limit struct {
 	inner Stream

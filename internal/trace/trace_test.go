@@ -36,10 +36,6 @@ func TestSliceStream(t *testing.T) {
 	if s.Next(&in) {
 		t.Error("stream yielded past the end")
 	}
-	s.Reset()
-	if !s.Next(&in) || in != insts[0] {
-		t.Error("Reset did not rewind")
-	}
 }
 
 func TestLimit(t *testing.T) {
