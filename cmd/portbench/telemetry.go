@@ -258,12 +258,12 @@ func (t *telemetrySink) noteCPI(s telemetry.CellSample) {
 	if s.CPIStack == nil || s.MemoHit {
 		return
 	}
-	key := s.Workload + "\x00" + s.Machine + "\x00" + telemetry.HashConfig(s.ConfigJSON)
+	key := s.Workload + "\x00" + s.Machine + "\x00" + cellstore.HashConfig(s.ConfigJSON)
 	t.cpiMu.Lock()
 	t.cpiRows[key] = cpiRow{
 		workload: s.Workload,
 		machine:  s.Machine,
-		hash:     telemetry.HashConfig(s.ConfigJSON),
+		hash:     cellstore.HashConfig(s.ConfigJSON),
 		failed:   s.Failed,
 		snap:     s.CPIStack,
 	}

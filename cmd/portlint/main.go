@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"portsim/internal/lint"
+	"portsim/internal/lint/analysis"
 	"portsim/internal/lint/counterhygiene"
 	"portsim/internal/lint/loader"
 )
@@ -158,7 +159,7 @@ func auditSuppressions(out io.Writer, patterns []string) (int, error) {
 		}
 	}
 
-	dirs := lint.Directives(pkgs)
+	dirs := analysis.Directives(pkgs)
 	problems := 0
 	for _, d := range dirs {
 		file := d.Position.Filename

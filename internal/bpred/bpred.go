@@ -248,9 +248,6 @@ func (r *RAS) Pop() (uint64, bool) {
 	return r.stack[r.pos], true
 }
 
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.top }
-
 // Unit bundles a direction predictor, BTB and RAS as configured, and is the
 // interface the fetch stage uses.
 type Unit struct {

@@ -256,7 +256,7 @@ func TestRASMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		return r.Depth() == len(ref)
+		return r.top == len(ref)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -39,7 +39,7 @@ type Level struct {
 	clock   uint64
 
 	// Statistics, exported through accessors.
-	hits, misses, writebacks, evictions uint64
+	hits, misses, writebacks uint64
 
 	// OnEvict, when non-nil, is invoked with the line-aligned address of
 	// every line that leaves the cache (replacement or invalidation).
@@ -156,7 +156,6 @@ func (l *Level) Install(addr uint64, write bool) (victimAddr uint64, victimDirty
 		victimAddr = l.lineAddrFromTag(v.tag)
 		victimDirty = v.state == stateDirty
 		evicted = true
-		l.evictions++
 		if victimDirty {
 			l.writebacks++
 		}
@@ -174,41 +173,9 @@ func (l *Level) Install(addr uint64, write bool) (victimAddr uint64, victimDirty
 	return victimAddr, victimDirty, evicted
 }
 
-// Invalidate removes the line containing addr if present, returning whether
-// it was present and dirty. The OnEvict hook fires for invalidations too.
-func (l *Level) Invalidate(addr uint64) (present, dirty bool) {
-	set := l.set(addr)
-	tag := l.tagOf(addr)
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].tag == tag {
-			dirty = set[i].state == stateDirty
-			set[i].state = stateInvalid
-			l.evictions++
-			if dirty {
-				l.writebacks++
-			}
-			if l.OnEvict != nil {
-				l.OnEvict(l.LineAddr(addr))
-			}
-			return true, dirty
-		}
-	}
-	return false, false
-}
-
 func (l *Level) lineAddrFromTag(tag uint64) uint64 { return tag << l.offBits }
 
-// Hits, Misses, Writebacks and Evictions return access statistics.
+// Hits, Misses and Writebacks return access statistics.
 func (l *Level) Hits() uint64       { return l.hits }
 func (l *Level) Misses() uint64     { return l.misses }
 func (l *Level) Writebacks() uint64 { return l.writebacks }
-func (l *Level) Evictions() uint64  { return l.evictions }
-
-// MissRate returns misses / (hits+misses), zero when no accesses occurred.
-func (l *Level) MissRate() float64 {
-	total := l.hits + l.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(l.misses) / float64(total)
-}

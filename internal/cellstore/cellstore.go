@@ -34,8 +34,8 @@ const (
 var ErrDegraded = errors.New("cellstore: store degraded to store-less operation")
 
 // StoreError is a structured store-level failure: what operation hit it,
-// which entry, and why. Quarantines and degradations are recorded as
-// StoreErrors retrievable via Errors(); they never fail the campaign.
+// which entry, and why. Quarantines and degradations are logged as
+// StoreErrors through Options.Logf; they never fail the campaign.
 type StoreError struct {
 	// Op is the store operation: "get", "put", "scan", "open".
 	Op string
@@ -111,7 +111,6 @@ type Store struct {
 
 	mu       sync.Mutex
 	degraded bool
-	errs     []*StoreError
 
 	stats struct {
 		hits, misses, puts, putFailures, quarantined uint64
@@ -145,31 +144,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // logf emits one store event line when a logger is installed.
 func (s *Store) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
 	}
-}
-
-// recordErr appends a structured store error for Errors().
-func (s *Store) recordErr(e *StoreError) {
-	s.mu.Lock()
-	s.errs = append(s.errs, e)
-	s.mu.Unlock()
-}
-
-// Errors returns every structured store error recorded so far
-// (quarantines, degradation), oldest first.
-func (s *Store) Errors() []*StoreError {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*StoreError, len(s.errs))
-	copy(out, s.errs)
-	return out
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -200,7 +179,6 @@ func (s *Store) degrade(cause *StoreError) {
 	s.mu.Lock()
 	first := !s.degraded
 	s.degraded = true
-	s.errs = append(s.errs, cause)
 	s.mu.Unlock()
 	if first {
 		s.logf("cellstore: WARNING: %v; continuing without the store", cause)
@@ -253,7 +231,7 @@ func (s *Store) Get(k Key) (*Entry, error) {
 
 // Quarantine moves a key's entry aside with an experiments-layer reason
 // (e.g. an envelope that verified but whose payload the experiments layer
-// cannot decode) and records the StoreError. The next Get misses and the
+// cannot decode) and logs the StoreError. The next Get misses and the
 // cell is re-simulated.
 func (s *Store) Quarantine(k Key, reason error) {
 	if s.isDegraded() {
@@ -262,7 +240,7 @@ func (s *Store) Quarantine(k Key, reason error) {
 	s.quarantine("get", s.entryPath(k), &k, reason)
 }
 
-// quarantine renames a corrupt entry to *.corrupt, records the error and
+// quarantine renames a corrupt entry to *.corrupt, logs the error and
 // counts the miss.
 func (s *Store) quarantine(op, path string, k *Key, cause error) {
 	qpath := path + corruptSuffix
@@ -273,7 +251,6 @@ func (s *Store) quarantine(op, path string, k *Key, cause error) {
 	s.mu.Lock()
 	s.stats.quarantined++
 	s.stats.misses++
-	s.errs = append(s.errs, se)
 	s.mu.Unlock()
 	s.logf("cellstore: WARNING: quarantined corrupt entry: %v", se)
 }
@@ -299,9 +276,7 @@ func (s *Store) Put(e *Entry) error {
 	if err != nil {
 		// An unencodable entry is a caller bug, not a disk failure; do
 		// not degrade the store over it.
-		se := &StoreError{Op: "put", Key: &e.Key, Err: err}
-		s.recordErr(se)
-		return se
+		return &StoreError{Op: "put", Key: &e.Key, Err: err}
 	}
 	path := s.entryPath(e.Key)
 	var lastErr error
@@ -404,9 +379,7 @@ func (s *Store) Scan(fn func(*Entry) error) (int, error) {
 	}
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
-		se := &StoreError{Op: "scan", Path: s.dir, Err: err}
-		s.recordErr(se)
-		return 0, se
+		return 0, &StoreError{Op: "scan", Path: s.dir, Err: err}
 	}
 	names := make([]string, 0, len(des))
 	for _, de := range des {

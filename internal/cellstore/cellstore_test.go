@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,7 +244,8 @@ func TestCorruptShapesQuarantine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := open(t, t.TempDir(), Options{})
+			var logs []string
+			s := open(t, t.TempDir(), Options{Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }})
 			k := testKey("compress")
 			path := s.entryPath(k)
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -263,12 +265,12 @@ func TestCorruptShapesQuarantine(t *testing.T) {
 			if st.Quarantined != 1 || st.Misses != 1 {
 				t.Errorf("stats = %+v, want one quarantine counted as a miss", st)
 			}
-			errs := s.Errors()
-			if len(errs) != 1 {
-				t.Fatalf("%d store errors recorded, want 1", len(errs))
+			if len(logs) != 1 {
+				t.Fatalf("%d store events logged, want 1: %q", len(logs), logs)
 			}
-			if errs[0].Quarantined == "" || errs[0].Op != "get" {
-				t.Errorf("StoreError = %+v, want op=get with quarantine path", errs[0])
+			if want := "cellstore: get " + path; !strings.Contains(logs[0], want) ||
+				!strings.Contains(logs[0], "(quarantined to "+path+".corrupt)") {
+				t.Errorf("logged %q, want the get StoreError with its quarantine path", logs[0])
 			}
 			// A re-Put must replace the quarantined slot and hit again.
 			if err := s.Put(testEntry("compress")); err != nil {

@@ -66,10 +66,11 @@ type Key struct {
 	Fault string `json:"fault,omitempty"`
 }
 
-// HashConfig fingerprints one machine-configuration JSON document exactly
-// as the manifest layer does (telemetry.HashConfig): SHA-256, first 6
-// bytes, hex. Duplicated here rather than imported so the store stays
-// free of the telemetry layer; a cross-package test pins the equality.
+// HashConfig fingerprints one machine-configuration JSON document:
+// SHA-256, first 6 bytes, hex. It is the one config hash of the project:
+// store keys, manifests and the /campaign document all carry it, so a
+// manifest's cell names the store entry that holds it. The short hex
+// prefix keeps manifests and filenames readable.
 func HashConfig(cfgJSON []byte) string {
 	sum := sha256.Sum256(cfgJSON)
 	return hex.EncodeToString(sum[:6])

@@ -146,17 +146,6 @@ func (s *LineBufferSet) InvalidateLine(lineAddr uint64, lineBytes int) {
 	}
 }
 
-// InvalidateAll empties the set (used at kernel entry in OS-disruption
-// experiments and by tests).
-func (s *LineBufferSet) InvalidateAll() {
-	for i := range s.valid {
-		if s.valid[i] {
-			s.valid[i] = false
-			s.invalidations++
-		}
-	}
-}
-
 // Size returns the number of buffers.
 func (s *LineBufferSet) Size() int { return len(s.chunkAddr) }
 
@@ -171,17 +160,7 @@ func (s *LineBufferSet) Live() int {
 	return n
 }
 
-// Hits, Misses, Fills and Invalidations return statistics.
+// Hits, Fills and Invalidations return statistics.
 func (s *LineBufferSet) Hits() uint64          { return s.hits }
-func (s *LineBufferSet) Misses() uint64        { return s.misses }
 func (s *LineBufferSet) Fills() uint64         { return s.fills }
 func (s *LineBufferSet) Invalidations() uint64 { return s.invalidations }
-
-// HitRate returns hits/(hits+misses), zero when unused.
-func (s *LineBufferSet) HitRate() float64 {
-	total := s.hits + s.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.hits) / float64(total)
-}

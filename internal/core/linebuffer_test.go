@@ -30,8 +30,8 @@ func TestLineBufferFillThenHit(t *testing.T) {
 	if _, hit := s.Lookup(0x120); hit {
 		t.Error("adjacent chunk hit spuriously")
 	}
-	if s.Hits() != 1 || s.Misses() != 1 || s.Fills() != 1 {
-		t.Errorf("stats hits=%d misses=%d fills=%d", s.Hits(), s.Misses(), s.Fills())
+	if s.hits != 1 || s.misses != 1 || s.fills != 1 {
+		t.Errorf("stats hits=%d misses=%d fills=%d", s.hits, s.misses, s.fills)
 	}
 	if got := s.HitRate(); got != 0.5 {
 		t.Errorf("HitRate = %v", got)

@@ -236,7 +236,6 @@ func (p *MemPort) BeginCycle(now uint64) {
 		p.refillCycles += uint64(pay)
 	}
 	p.sb.Expire(now)
-	p.sb.SampleOccupancy()
 	if p.cfg.StoresFirst {
 		p.drainStores(now)
 	}
@@ -562,24 +561,6 @@ func (p *MemPort) Report(s *stats.Set) {
 	for v := 0; v <= SlotsPerCycle(p.cfg); v++ {
 		s.Add(stats.GrantBucket(v), p.grantHist.Bucket(uint64(v)))
 	}
-}
-
-// Utilisation returns the mean fraction of access slots (ports or banks)
-// granted per cycle.
-func (p *MemPort) Utilisation() float64 {
-	slots := uint64(SlotsPerCycle(p.cfg))
-	if p.cycles == 0 || slots == 0 {
-		return 0
-	}
-	return float64(p.busyGrants) / float64(p.cycles*slots)
-}
-
-// GrantHistogram returns the per-cycle grant-count histogram.
-func (p *MemPort) GrantHistogram() *stats.Histogram { return p.grantHist }
-
-// LoadsBySource returns the counts of loads satisfied by each source.
-func (p *MemPort) LoadsBySource() (cache, lineBuffer, storeBuffer uint64) {
-	return p.loadsBySource[SourceCache], p.loadsBySource[SourceLineBuffer], p.loadsBySource[SourceStoreBuffer]
 }
 
 // Rejects returns the rejection counts by reason.

@@ -81,7 +81,7 @@ func TestLoadAllLineBufferSkipsPort(t *testing.T) {
 	if r2.Ready < r.Ready {
 		t.Error("line-buffer data ready before the fill that latched it")
 	}
-	if _, lb, _ := p.LoadsBySource(); lb != 1 {
+	if p.loadsBySource[SourceLineBuffer] != 1 {
 		t.Error("line-buffer load not counted")
 	}
 }
@@ -240,8 +240,8 @@ func TestCombiningRetiresManyStoresPerDrain(t *testing.T) {
 	if p.StoreBuffer().Drains() != 1 {
 		t.Fatal("combined entry did not drain in one port write")
 	}
-	if got := p.StoreBuffer().StoresPerDrain(); got != float64(perChunk) {
-		t.Errorf("StoresPerDrain = %v, want %d", got, perChunk)
+	if got := p.StoreBuffer().Inserts(); got != uint64(perChunk) {
+		t.Errorf("one port write retired %d stores, want %d", got, perChunk)
 	}
 }
 
@@ -274,7 +274,7 @@ func TestUtilisationAndHistogram(t *testing.T) {
 	if got := p.Utilisation(); got != 0.5 {
 		t.Errorf("Utilisation = %v, want 0.5", got)
 	}
-	h := p.GrantHistogram()
+	h := p.grantHist
 	if h.Bucket(0) != 2 || h.Bucket(1) != 2 {
 		t.Errorf("grant histogram 0:%d 1:%d, want 2 and 2", h.Bucket(0), h.Bucket(1))
 	}

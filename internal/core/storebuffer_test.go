@@ -86,13 +86,13 @@ func TestStoreBufferCombiningMergesChunk(t *testing.T) {
 		t.Errorf("combined=%d inserts=%d", b.Combined(), b.Inserts())
 	}
 	i := b.NextDrain()
-	if b.MaskAt(i) != 0xffff {
-		t.Errorf("mask = %#x, want 0xffff (bytes 0-15)", b.MaskAt(i))
+	if b.mask[i] != 0xffff {
+		t.Errorf("mask = %#x, want 0xffff (bytes 0-15)", b.mask[i])
 	}
 	b.MarkIssued(i, 5)
 	b.Expire(10)
-	if got := b.StoresPerDrain(); got != 2 {
-		t.Errorf("StoresPerDrain = %v, want 2", got)
+	if b.Inserts() != 2 || b.Drains() != 1 {
+		t.Errorf("inserts/drains = %d/%d, want 2/1", b.Inserts(), b.Drains())
 	}
 }
 
@@ -197,17 +197,6 @@ func TestStoreBufferInsertPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestStoreBufferOccupancy(t *testing.T) {
-	b := NewStoreBuffer(4, 32, false)
-	b.SampleOccupancy()
-	b.Insert(0, 0x100, 8, nil)
-	b.SampleOccupancy()
-	b.SampleOccupancy()
-	if got := b.MeanOccupancy(); got != 2.0/3.0 {
-		t.Errorf("MeanOccupancy = %v, want 2/3", got)
 	}
 }
 

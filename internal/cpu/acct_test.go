@@ -191,8 +191,8 @@ func TestCPIStackGapClassifierCoversWedge(t *testing.T) {
 		t.Errorf("wedge not dominant: store-buffer-full %d <= useful %d", sb, useful)
 	}
 	// Partial-run conservation: every charge matched a simulated cycle.
-	if got := stack.Total(); got != c.Cycle() {
-		t.Errorf("aborted run leaks cycles: buckets %d, clock %d", got, c.Cycle())
+	if got := stack.Total(); got != c.cycle {
+		t.Errorf("aborted run leaks cycles: buckets %d, clock %d", got, c.cycle)
 	}
 }
 

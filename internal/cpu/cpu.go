@@ -69,7 +69,7 @@ type robEntry struct {
 	// memory operations.
 	dispatchedAt uint64
 
-	// readyCache memoises the entry's operand-readiness (operandsReadyAt,
+	// readyCache memoises the entry's operand-readiness (both operands,
 	// or the address operand alone for stores) so the per-cycle issue
 	// scans compare one cached word instead of re-reading the ready
 	// files. The cache is valid while readyGen matches Core.readyGen: a
@@ -444,15 +444,6 @@ func carve[T any](backing *[]T, n int) []T {
 	*backing = (*backing)[n:]
 	return s
 }
-
-// Port exposes the memory-port subsystem for inspection.
-func (c *Core) Port() *core.MemPort { return c.port }
-
-// Mem exposes the memory hierarchy for inspection.
-func (c *Core) Mem() *mem.System { return c.sys }
-
-// Cycle returns the current cycle.
-func (c *Core) Cycle() uint64 { return c.cycle }
 
 // ErrDeadline reports that a run exceeded its cycle budget, which indicates
 // a model deadlock or a grossly underestimated deadline.

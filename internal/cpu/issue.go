@@ -159,16 +159,6 @@ func (c *Core) srcReadyAt(reg isa.Reg, phys int16) uint64 {
 	return c.intReady[phys]
 }
 
-// operandsReadyAt gives the cycle both operands are available.
-func (c *Core) operandsReadyAt(e *robEntry) uint64 {
-	a := c.srcReadyAt(e.inst.Src1, e.src1Phys)
-	b := c.srcReadyAt(e.inst.Src2, e.src2Phys)
-	if b > a {
-		a = b
-	}
-	return a
-}
-
 // readyAt returns the cycle the entry clears issue's operand gate — both
 // operands for most classes, the address operand alone for stores — serving
 // it from the entry's readyCache while readyGen matches. A cached finite

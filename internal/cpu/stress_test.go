@@ -209,9 +209,17 @@ func TestTraceRoundTripThroughCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tee := trace.NewTee(trace.NewLimit(g, 30_000))
+	// Capture the same stream from a second generator with the same seed.
+	g2, err := workload.New(p, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var captured []isa.Inst
+	for src, in := trace.NewLimit(g2, 30_000), (isa.Inst{}); src.Next(&in); {
+		captured = append(captured, in)
+	}
 	m := config.Baseline()
-	c, err := New(&m, tee)
+	c, err := New(&m, trace.NewLimit(g, 30_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +229,7 @@ func TestTraceRoundTripThroughCore(t *testing.T) {
 	}
 	// Replay the captured instructions.
 	m2 := config.Baseline()
-	c2, err := New(&m2, trace.NewSliceStream(tee.Captured))
+	c2, err := New(&m2, trace.NewSliceStream(captured))
 	if err != nil {
 		t.Fatal(err)
 	}

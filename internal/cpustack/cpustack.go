@@ -134,13 +134,6 @@ func BucketByName(name string) (Bucket, bool) {
 	return 0, false
 }
 
-// Names returns the canonical bucket names in reporting order.
-func Names() []string {
-	out := make([]string, NumBuckets)
-	copy(out, names[:])
-	return out
-}
-
 // Stack is a live cycle-attribution accumulator. The zero value is ready
 // to use; a nil *Stack is the disabled state — every method is nil-safe,
 // so callers keep the one-pointer-test discipline of internal/diag. The
@@ -162,6 +155,8 @@ func (s *Stack) Charge(b Bucket, n uint64) {
 }
 
 // Get returns the cycles charged to bucket b so far.
+//
+//portlint:ignore noprodcaller the accounting tests of internal/cpu and internal/experiments read single buckets through it
 func (s *Stack) Get(b Bucket) uint64 {
 	if s == nil {
 		return 0

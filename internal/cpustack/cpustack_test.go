@@ -70,8 +70,8 @@ func TestNamesRoundTrip(t *testing.T) {
 	if _, ok := BucketByName("no-such-bucket"); ok {
 		t.Error("BucketByName accepted an unknown name")
 	}
-	if got := len(Names()); got != int(NumBuckets) {
-		t.Errorf("Names() has %d entries, want %d", got, NumBuckets)
+	if got := len(names); got != int(NumBuckets) {
+		t.Errorf("names has %d entries, want %d", got, NumBuckets)
 	}
 }
 

@@ -137,17 +137,6 @@ func (r *Recorder) Record(cycle uint64, kind EventKind, seq, addr uint64) {
 	r.total++
 }
 
-// Enabled reports whether the recorder is live.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Depth returns the ring capacity (zero when disabled).
-func (r *Recorder) Depth() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Len returns the number of retained events.
 func (r *Recorder) Len() int {
 	if r == nil {

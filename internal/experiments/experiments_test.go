@@ -256,6 +256,13 @@ func TestF7KernelDisruption(t *testing.T) {
 			t.Errorf("%s: techniques hurt (gain %.3f)", row.Label, row.TechniqueGain)
 		}
 	}
+	// The F7 verdict: kernel activity costs the techniques part of the
+	// gap they recover. Only the none→high drop holds at every seed; the
+	// intermediate steps are not monotone.
+	if none, high := rows[0], rows[len(rows)-1]; high.GapRecovered >= none.GapRecovered {
+		t.Errorf("gap recovered did not drop from none (%.1f%%) to high (%.1f%%) intensity",
+			100*none.GapRecovered, 100*high.GapRecovered)
+	}
 }
 
 // TestA1AblationOrdering checks that the combined techniques beat any

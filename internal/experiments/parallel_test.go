@@ -244,35 +244,6 @@ func TestExperimentErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestProgressReporting checks the optional progress callback: counts are
-// strictly increasing and end at the number of submitted cells.
-func TestProgressReporting(t *testing.T) {
-	spec := QuickSpec()
-	spec.Insts = 3_000
-	spec.Parallel = 4
-	r := NewRunner(spec)
-	var mu sync.Mutex
-	var seen []int
-	r.SetProgress(func(done int) {
-		mu.Lock()
-		seen = append(seen, done)
-		mu.Unlock()
-	})
-	if _, _, err := T2Characterisation(r); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != len(spec.Workloads) {
-		t.Fatalf("%d progress calls for %d cells", len(seen), len(spec.Workloads))
-	}
-	for i, done := range seen {
-		if done != i+1 {
-			t.Errorf("progress call %d reported %d; counts must be serialised and increasing", i, done)
-		}
-	}
-}
-
 // TestSpecParallelDefaults checks the GOMAXPROCS default and explicit
 // override.
 func TestSpecParallelDefaults(t *testing.T) {

@@ -80,7 +80,6 @@ func (r *Runner) runAll(cells []cell) ([]*cpu.Result, error) {
 					continue
 				}
 				results[i] = res
-				r.noteProgress()
 			}
 		}()
 	}

@@ -187,12 +187,6 @@ type Runner struct {
 	simCycles atomic.Uint64
 	simInsts  atomic.Uint64
 
-	// progressMu serialises progress callbacks so a user-supplied sink
-	// (e.g. a terminal line) never sees interleaved or regressing counts.
-	progressMu sync.Mutex
-	doneCells  int
-	progress   func(done int)
-
 	// obsMu guards the per-cell observers (telemetry sink, campaign
 	// status plane) and serialises their invocations. The observers are
 	// nil when telemetry is off; the cost of the check is one mutex
@@ -243,26 +237,6 @@ func (r *Runner) Spec() Spec { return r.spec }
 
 // Parallel returns the effective worker count.
 func (r *Runner) Parallel() int { return r.parallel }
-
-// SetProgress installs a callback invoked with the cumulative number of
-// completed experiment cells. Calls are serialised; the callback must not
-// invoke the runner.
-func (r *Runner) SetProgress(fn func(done int)) {
-	r.progressMu.Lock()
-	r.progress = fn
-	r.progressMu.Unlock()
-}
-
-// noteProgress records one completed cell and notifies the callback.
-func (r *Runner) noteProgress() {
-	r.progressMu.Lock()
-	r.doneCells++
-	done, fn := r.doneCells, r.progress
-	if fn != nil {
-		fn(done)
-	}
-	r.progressMu.Unlock()
-}
 
 // SetCellObserver installs a per-cell telemetry sink invoked once for
 // every cell submission — simulated, memoised or failed. now supplies the

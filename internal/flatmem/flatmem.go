@@ -14,6 +14,8 @@ type Mem struct {
 }
 
 // New returns an empty memory.
+//
+//portlint:ignore noprodcaller flatmem is the reference memory the store buffer's byte-exactness tests compare against
 func New() *Mem {
 	return &Mem{pages: make(map[uint64]*[1 << pageBits]byte)}
 }
@@ -29,6 +31,8 @@ func (m *Mem) page(addr uint64, create bool) *[1 << pageBits]byte {
 }
 
 // ReadAt copies len(p) bytes starting at addr into p.
+//
+//portlint:ignore noprodcaller flatmem is the reference memory the store buffer's byte-exactness tests compare against
 func (m *Mem) ReadAt(addr uint64, p []byte) {
 	for len(p) > 0 {
 		off := addr & (1<<pageBits - 1)
@@ -45,6 +49,8 @@ func (m *Mem) ReadAt(addr uint64, p []byte) {
 }
 
 // WriteAt copies p into the memory starting at addr.
+//
+//portlint:ignore noprodcaller flatmem is the reference memory the store buffer's byte-exactness tests compare against
 func (m *Mem) WriteAt(addr uint64, p []byte) {
 	for len(p) > 0 {
 		off := addr & (1<<pageBits - 1)

@@ -157,15 +157,6 @@ type Inst struct {
 // FallThrough returns the PC of the next sequential instruction.
 func (in *Inst) FallThrough() uint64 { return in.PC + 4 }
 
-// NextPC returns the PC the instruction actually transfers control to: the
-// target for taken control flow, the fall-through otherwise.
-func (in *Inst) NextPC() uint64 {
-	if in.Class.IsUncond() || (in.Class == Branch && in.Taken) {
-		return in.Target
-	}
-	return in.FallThrough()
-}
-
 // Redirects reports whether the instruction actually redirected fetch away
 // from the fall-through path.
 func (in *Inst) Redirects() bool {

@@ -25,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Analyzer describes one static check.
@@ -114,4 +115,60 @@ type Diagnostic struct {
 	// and the last is the function containing Pos. The driver carries it
 	// into the finding and the portlint-diag/v1 JSON output.
 	Chain []string
+}
+
+// ignorePrefix starts a suppression comment.
+const ignorePrefix = "//portlint:ignore"
+
+// Directive is one //portlint:ignore comment in the analyzed sources.
+type Directive struct {
+	Position token.Position
+	// Analyzers are the comma-separated analyzer names the directive
+	// silences.
+	Analyzers []string
+	// Reason is the invariant comment after the analyzer list; the
+	// -suppressions audit requires it to be non-empty.
+	Reason string
+}
+
+// Directives collects every //portlint:ignore directive in the loaded
+// packages, in deterministic (package, file, position) order. A directive
+// silences the named analyzers on its own line and on the line below, which
+// covers both trailing comments and standalone comment lines above the
+// flagged statement.
+func Directives(pkgs []*Package) []Directive {
+	var dirs []Directive
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, group := range f.Comments {
+				for _, c := range group.List {
+					if d, ok := parseIgnore(c.Text); ok {
+						d.Position = pkg.Fset.Position(c.Pos())
+						dirs = append(dirs, d)
+					}
+				}
+			}
+		}
+	}
+	return dirs
+}
+
+// parseIgnore parses one comment as a //portlint:ignore directive; ok is
+// false when the comment is not one or names no analyzer.
+func parseIgnore(comment string) (d Directive, ok bool) {
+	rest, ok := strings.CutPrefix(comment, ignorePrefix)
+	if !ok {
+		return d, false
+	}
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return d, false
+	}
+	for _, name := range strings.Split(fields[0], ",") {
+		if name != "" {
+			d.Analyzers = append(d.Analyzers, name)
+		}
+	}
+	d.Reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0]))
+	return d, len(d.Analyzers) > 0
 }

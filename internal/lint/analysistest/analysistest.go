@@ -33,6 +33,8 @@ var wantRE = regexp.MustCompile("`([^`]*)`")
 
 // Run loads testdata/src/<fixture> for each named fixture (relative to the
 // calling test's package directory) and analyzes them together with a.
+//
+//portlint:ignore noprodcaller the fixture harness every analyzer's tests import
 func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
 	if len(fixtures) == 0 {

@@ -1,7 +1,7 @@
 // Package callgraph builds a static call graph over the packages the
 // portlint loader produced, for the whole-program analyzers (hotpathclosure,
-// escapegate, maporder). The graph is deliberately simple and deterministic
-// rather than precise:
+// escapegate, maporder, noprodcaller). The graph is deliberately simple and
+// deterministic rather than precise:
 //
 //   - Direct calls and concrete method calls resolve to the called
 //     function's declaration.
@@ -89,6 +89,9 @@ type Graph struct {
 
 	funcs map[string]*Func
 	order []*Func
+	// pkgRefs are the calls and function references in package-level
+	// declarations (variable initializers, function literals included).
+	pkgRefs []Call
 }
 
 // Build constructs the call graph over the loaded packages.
@@ -100,11 +103,16 @@ func Build(pkgs []*analysis.Package) *Graph {
 	g.Fset = pkgs[0].Fset
 
 	// Pass 1: index every declared function.
+	res := newResolver(pkgs)
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
+					g.pkgRefs = append(g.pkgRefs, res.callsIn(pkg.TypesInfo, decl)...)
+					continue
+				}
+				if fd.Body == nil {
 					continue
 				}
 				obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -120,9 +128,8 @@ func Build(pkgs []*analysis.Package) *Graph {
 	}
 
 	// Pass 2: resolve call sites.
-	res := newResolver(pkgs)
 	for _, fn := range g.order {
-		fn.Calls = res.callsIn(fn)
+		fn.Calls = res.callsIn(fn.Pkg.TypesInfo, fn.Decl.Body)
 	}
 	return g
 }
@@ -130,11 +137,18 @@ func Build(pkgs []*analysis.Package) *Graph {
 // Funcs returns every declared function in deterministic (source) order.
 func (g *Graph) Funcs() []*Func { return g.order }
 
+// PackageRefs returns the calls and function references made by
+// package-level declarations, such as a function named in a table
+// variable's initializer or called inside a function literal stored there,
+// in deterministic (source) order.
+func (g *Graph) PackageRefs() []Call { return g.pkgRefs }
+
 // Lookup returns the graph node for a function object, or nil when the
 // function is not declared in the loaded packages. Resolution goes through
 // FullName, so an export-data object and its source-checked counterpart
-// find the same node.
-func (g *Graph) Lookup(obj *types.Func) *Func { return g.funcs[obj.FullName()] }
+// find the same node; an instantiated generic function or a method of an
+// instantiated generic type resolves to its declaration.
+func (g *Graph) Lookup(obj *types.Func) *Func { return g.funcs[obj.Origin().FullName()] }
 
 // resolver resolves the callee of each call expression and enumerates
 // interface implementations among the loaded packages.
@@ -201,10 +215,9 @@ func (r *resolver) implementations(m *types.Func) []*types.Func {
 	return impls
 }
 
-// callsIn walks one function body and returns its resolved calls in source
-// order.
-func (r *resolver) callsIn(fn *Func) []Call {
-	info := fn.Pkg.TypesInfo
+// callsIn walks one syntax tree (a function body or a package-level
+// declaration) and returns its resolved calls in source order.
+func (r *resolver) callsIn(info *types.Info, root ast.Node) []Call {
 	var calls []Call
 
 	// selIdents collects the Sel identifier of every selector expression so
@@ -213,7 +226,7 @@ func (r *resolver) callsIn(fn *Func) []Call {
 	// references already counted as calls are not recounted as values.
 	selIdents := make(map[*ast.Ident]bool)
 	callFuns := make(map[ast.Expr]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.SelectorExpr:
 			selIdents[e.Sel] = true
@@ -230,7 +243,7 @@ func (r *resolver) callsIn(fn *Func) []Call {
 		calls = append(calls, Call{Pos: pos, Callee: callee, ViaInterface: viaIface})
 	}
 
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.CallExpr:
 			r.resolve(info, ast.Unparen(e.Fun), e.Lparen, add)
@@ -337,19 +350,15 @@ type Entry struct {
 // a //portlint:hotpath root through packages in scope, stopping at
 // //portlint:coldpath functions.
 type Closure struct {
-	graph   *Graph
 	entries map[string]*Entry // keyed by types.Func.FullName
 	order   []*Entry
-	// coldStops are the coldpath-annotated functions the propagation
-	// actually stopped at, in visit order.
-	coldStops []*Func
 }
 
 // HotpathClosure computes the closure. scopePackages lists the import paths
 // propagation may enter; the packages containing the roots themselves are
 // always in scope, so fixtures and scratch modules need no configuration.
 func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
-	cl := &Closure{graph: g, entries: make(map[string]*Entry)}
+	cl := &Closure{entries: make(map[string]*Entry)}
 	scope := make(map[string]bool, len(scopePackages))
 	for _, p := range scopePackages {
 		scope[p] = true
@@ -366,7 +375,6 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 		}
 	}
 
-	seenCold := make(map[string]bool)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -377,10 +385,6 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 			}
 			key := callee.Obj.FullName()
 			if callee.Coldpath {
-				if !seenCold[key] {
-					seenCold[key] = true
-					cl.coldStops = append(cl.coldStops, callee)
-				}
 				continue
 			}
 			if _, ok := cl.entries[key]; ok {
@@ -400,9 +404,3 @@ func (g *Graph) HotpathClosure(scopePackages []string) *Closure {
 // Entries returns the closure in deterministic visit order (roots first, in
 // source order, then breadth-first).
 func (cl *Closure) Entries() []*Entry { return cl.order }
-
-// ColdStops returns the coldpath functions that stopped propagation.
-func (cl *Closure) ColdStops() []*Func { return cl.coldStops }
-
-// Contains returns the closure entry for a function object, or nil.
-func (cl *Closure) Contains(obj *types.Func) *Entry { return cl.entries[obj.FullName()] }

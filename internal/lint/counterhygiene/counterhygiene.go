@@ -3,8 +3,8 @@
 // write and read back by name; a typo on either side produces a silent zero
 // that flows straight into EXPERIMENTS.md. The analyzer enforces:
 //
-//   - Per package: every counter name passed to (*stats.Set).Add/Inc/Get/
-//     Ratio must be a compile-time string constant, or a call to a name
+//   - Per package: every counter name passed to (*stats.Set).Add/Get must
+//     be a compile-time string constant, or a call to a name
 //     constructor declared in the stats package itself (stats.ClassCounter,
 //     stats.GrantBucket) for the few families whose names are data-
 //     dependent.
@@ -57,10 +57,8 @@ var methodNameArgs = map[string]struct {
 	args  []int
 	write bool
 }{
-	"Add":   {args: []int{0}, write: true},
-	"Inc":   {args: []int{0}, write: true},
-	"Get":   {args: []int{0}, write: false},
-	"Ratio": {args: []int{0, 1}, write: false},
+	"Add": {args: []int{0}, write: true},
+	"Get": {args: []int{0}, write: false},
 }
 
 // Analyzer is the counterhygiene analyzer.
@@ -87,8 +85,7 @@ type use struct {
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Path() == StatsPackage {
 		// The stats package implements the counter API; its internal
-		// plumbing (Inc delegating to Add, Merge re-adding names) is
-		// necessarily dynamic.
+		// plumbing is necessarily dynamic.
 		return nil
 	}
 	constOnly := ConstOnlyPackages[pass.Pkg.Path()]
@@ -156,7 +153,7 @@ func runModule(pass *analysis.ModulePass) error {
 	for _, u := range uses {
 		if !u.write && !written[u.key] {
 			pass.Reportf(u.pos,
-				"counter %s is read but never written anywhere in the analyzed packages (typo, or a missing Add/Inc)",
+				"counter %s is read but never written anywhere in the analyzed packages (typo, or a missing Add)",
 				u.display)
 		}
 	}

@@ -1,7 +1,7 @@
-// Package lint is the portlint driver: it loads packages, runs the analyzer
-// suite over them, applies //portlint:ignore suppressions and returns the
-// findings in a stable order. Suppressed findings are retained with
-// Suppressed set rather than dropped, so the -json output can carry
+// Package lint is the portlint driver: it runs the analyzer suite over
+// packages the loader produced, applies //portlint:ignore suppressions and
+// returns the findings in a stable order. Suppressed findings are retained
+// with Suppressed set rather than dropped, so the -json output can carry
 // suppression state and the -suppressions audit can detect stale
 // directives; text output and exit codes consider only active findings.
 // cmd/portlint is a thin wrapper; the repository's self-test runs the same
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 
 	"portsim/internal/lint/analysis"
 	"portsim/internal/lint/configbounds"
@@ -24,8 +23,8 @@ import (
 	"portsim/internal/lint/hotpath"
 	"portsim/internal/lint/hotpathclosure"
 	"portsim/internal/lint/layerimports"
-	"portsim/internal/lint/loader"
 	"portsim/internal/lint/maporder"
+	"portsim/internal/lint/noprodcaller"
 	"portsim/internal/lint/recoverhygiene"
 )
 
@@ -42,6 +41,7 @@ func Suite() []*analysis.Analyzer {
 		hotpathclosure.Analyzer,
 		layerimports.Analyzer,
 		maporder.Analyzer,
+		noprodcaller.Analyzer,
 		recoverhygiene.Analyzer,
 	}
 }
@@ -77,16 +77,6 @@ func Active(findings []Finding) []Finding {
 	return out
 }
 
-// Run loads the patterns relative to dir and analyzes them with the given
-// analyzers (the full Suite when analyzers is empty).
-func Run(dir string, patterns []string, analyzers ...*analysis.Analyzer) ([]Finding, error) {
-	pkgs, err := loader.Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(pkgs, analyzers...)
-}
-
 // Analyze runs the analyzers over already-loaded packages.
 func Analyze(pkgs []*analysis.Package, analyzers ...*analysis.Analyzer) ([]Finding, error) {
 	if len(analyzers) == 0 {
@@ -96,7 +86,7 @@ func Analyze(pkgs []*analysis.Package, analyzers ...*analysis.Analyzer) ([]Findi
 		return nil, nil
 	}
 	fset := pkgs[0].Fset
-	suppressed := suppressionIndex(Directives(pkgs))
+	suppressed := suppressionIndex(analysis.Directives(pkgs))
 
 	var findings []Finding
 	report := func(name string) func(analysis.Diagnostic) {
@@ -169,62 +159,9 @@ type suppressionKey struct {
 	analyzer string
 }
 
-const ignorePrefix = "//portlint:ignore"
-
-// Directive is one //portlint:ignore comment in the analyzed sources.
-type Directive struct {
-	Position token.Position
-	// Analyzers are the comma-separated analyzer names the directive
-	// silences.
-	Analyzers []string
-	// Reason is the invariant comment after the analyzer list; the
-	// -suppressions audit requires it to be non-empty.
-	Reason string
-}
-
-// Directives collects every //portlint:ignore directive in the loaded
-// packages, in deterministic (package, file, position) order. A directive
-// silences the named analyzers on its own line and on the line below, which
-// covers both trailing comments and standalone comment lines above the
-// flagged statement.
-func Directives(pkgs []*analysis.Package) []Directive {
-	var dirs []Directive
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, group := range f.Comments {
-				for _, c := range group.List {
-					rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
-					if !ok {
-						continue
-					}
-					fields := strings.Fields(rest)
-					if len(fields) == 0 {
-						continue
-					}
-					var names []string
-					for _, name := range strings.Split(fields[0], ",") {
-						if name != "" {
-							names = append(names, name)
-						}
-					}
-					if len(names) == 0 {
-						continue
-					}
-					dirs = append(dirs, Directive{
-						Position:  pkg.Fset.Position(c.Pos()),
-						Analyzers: names,
-						Reason:    strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0])),
-					})
-				}
-			}
-		}
-	}
-	return dirs
-}
-
 // suppressionIndex expands directives into the per-line lookup Analyze
 // consults.
-func suppressionIndex(dirs []Directive) map[suppressionKey]bool {
+func suppressionIndex(dirs []analysis.Directive) map[suppressionKey]bool {
 	sup := make(map[suppressionKey]bool)
 	for _, d := range dirs {
 		for _, name := range d.Analyzers {

@@ -9,15 +9,26 @@ import (
 	"testing"
 
 	"portsim/internal/lint"
+	"portsim/internal/lint/loader"
 )
+
+// lintModule loads every package of the module at dir and runs the full
+// suite over them, as cmd/portlint ./... does.
+func lintModule(dir string) ([]lint.Finding, error) {
+	pkgs, err := loader.Load(dir, "./...")
+	if err != nil {
+		return nil, err
+	}
+	return lint.Analyze(pkgs)
+}
 
 // TestRepoClean asserts the invariant CI gates on: the full analyzer suite
 // reports zero active findings over the module's own packages (suppressed
 // findings are expected — every //portlint:ignore directive shields one).
 func TestRepoClean(t *testing.T) {
-	findings, err := lint.Run("../..", []string{"./..."})
+	findings, err := lintModule("../..")
 	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
+		t.Fatalf("lint: %v", err)
 	}
 	for _, f := range lint.Active(findings) {
 		t.Errorf("portlint finding on the repository itself: %s", f)
@@ -41,18 +52,25 @@ func TestGoVet(t *testing.T) {
 }
 
 // TestPlantedViolations builds a scratch module containing one violation per
-// determinism/arithmetic analyzer and asserts the suite fails on it — the
-// guarantee that a regression cannot slip through a green lint run.
+// determinism/arithmetic analyzer, plus a function no production root
+// reaches, and asserts the suite fails on it — the guarantee that a
+// regression cannot slip through a green lint run.
 func TestPlantedViolations(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	write("go.mod", "module scratch\n\ngo 1.22\n")
-	write("main.go", `package main
+	write("scratch.go", "package scratch\n\n// API is the module's exported surface.\nfunc API() {}\n")
+	write("lib/lib.go", "package lib\n\nfunc PlantedOrphan() {}\n") // no caller: noprodcaller
+	write("cmd/planted/main.go", `package main
 
 import (
 	"fmt"
@@ -71,14 +89,17 @@ func main() {
 }
 `)
 
-	findings, err := lint.Run(dir, []string{"./..."})
+	findings, err := lintModule(dir)
 	if err != nil {
-		t.Fatalf("lint.Run on scratch module: %v", err)
+		t.Fatalf("lint on scratch module: %v", err)
 	}
-	wantAnalyzers := []string{"cyclemath", "detrand", "floatcmp", "recoverhygiene"}
+	wantAnalyzers := []string{"cyclemath", "detrand", "floatcmp", "noprodcaller", "recoverhygiene"}
 	got := make(map[string]int)
 	for _, f := range findings {
 		got[f.Analyzer]++
+		if f.Analyzer == "noprodcaller" && !strings.Contains(f.Message, "lib.PlantedOrphan") {
+			t.Errorf("noprodcaller flagged a reached function: %s", f)
+		}
 	}
 	for _, name := range wantAnalyzers {
 		if got[name] == 0 {
@@ -119,9 +140,9 @@ func helperB() {
 }
 `)
 
-	findings, err := lint.Run(dir, []string{"./..."})
+	findings, err := lintModule(dir)
 	if err != nil {
-		t.Fatalf("lint.Run on scratch module: %v", err)
+		t.Fatalf("lint on scratch module: %v", err)
 	}
 	wantChain := []string{"hot.step", "hot.helperA", "hot.helperB"}
 	caught := make(map[string]bool)
@@ -150,7 +171,7 @@ func TestSuiteStable(t *testing.T) {
 	for _, a := range lint.Suite() {
 		names = append(names, a.Name)
 	}
-	want := "configbounds,counterhygiene,cyclemath,detrand,escapegate,floatcmp,hotpath,hotpathclosure,layerimports,maporder,recoverhygiene"
+	want := "configbounds,counterhygiene,cyclemath,detrand,escapegate,floatcmp,hotpath,hotpathclosure,layerimports,maporder,noprodcaller,recoverhygiene"
 	if got := strings.Join(names, ","); got != want {
 		t.Errorf("Suite() = %s, want %s", got, want)
 	}

@@ -309,10 +309,3 @@ func (s *System) writeThrough(now, addr uint64) AccessResult {
 	}
 	return AccessResult{Accepted: true, Ready: ready, L1Hit: hit, NoFill: true}
 }
-
-// OutstandingDataMisses returns the number of in-flight L1D fills at cycle
-// now (after expiring completed ones), used by statistics and tests.
-func (s *System) OutstandingDataMisses(now uint64) int {
-	s.l1dMSHR.expire(now)
-	return len(s.l1dMSHR.fills)
-}

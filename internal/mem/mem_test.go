@@ -69,7 +69,8 @@ func TestSystemMSHRMerge(t *testing.T) {
 	if r2.Ready < r1.Ready {
 		t.Error("merged access completed before the fill it merged into")
 	}
-	if got := s.OutstandingDataMisses(1); got != 1 {
+	s.l1dMSHR.expire(1)
+	if got := len(s.l1dMSHR.fills); got != 1 {
 		t.Errorf("outstanding misses = %d, want 1 (merge must not allocate)", got)
 	}
 }

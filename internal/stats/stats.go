@@ -30,9 +30,6 @@ func (s *Set) Add(name string, n uint64) {
 	s.counters[name] += n
 }
 
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
 // Get returns the value of the named counter (zero if never touched).
 func (s *Set) Get(name string) uint64 { return s.counters[name] }
 
@@ -55,19 +52,6 @@ func SafeRatio(num, den float64) float64 {
 	return num / den
 }
 
-// Ratio returns num/den as a float, with SafeRatio's no-events rule: 0 when
-// the denominator counter never fired.
-func (s *Set) Ratio(num, den string) float64 {
-	return SafeRatio(float64(s.counters[num]), float64(s.counters[den]))
-}
-
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	for _, name := range other.order {
-		s.Add(name, other.counters[name])
-	}
-}
-
 // String renders the set as "name=value" lines sorted by name, primarily for
 // debugging and log output.
 func (s *Set) String() string {
@@ -88,9 +72,6 @@ func (s *Set) String() string {
 type Histogram struct {
 	buckets  []uint64
 	overflow uint64
-	count    uint64
-	sum      uint64
-	max      uint64
 }
 
 // NewHistogram returns a histogram with buckets for values 0..n-1 and an
@@ -110,28 +91,6 @@ func (h *Histogram) Observe(v uint64) {
 	} else {
 		h.overflow++
 	}
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Max returns the largest sample observed (zero when empty).
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Mean returns the arithmetic mean of the samples (zero when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
 }
 
 // Bucket returns the count of samples with value v, or the overflow count
@@ -141,18 +100,6 @@ func (h *Histogram) Bucket(v uint64) uint64 {
 		return h.buckets[v]
 	}
 	return h.overflow
-}
-
-// Overflow returns the count of samples at or above the bucket range.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Fraction returns the fraction of samples equal to v (overflow for v out of
-// range); zero when the histogram is empty.
-func (h *Histogram) Fraction(v uint64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Bucket(v)) / float64(h.count)
 }
 
 // GeoMean returns the geometric mean of the values. Non-positive inputs make

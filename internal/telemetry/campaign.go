@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"portsim/internal/cellstore"
 	"portsim/internal/cpustack"
 )
 
@@ -183,7 +184,7 @@ func (c *Campaign) CellStarted(s CellStartSample) {
 	rc := runningCell{
 		machine:    s.Machine,
 		workload:   s.Workload,
-		configHash: HashConfig(s.ConfigJSON),
+		configHash: cellstore.HashConfig(s.ConfigJSON),
 		experiment: s.Experiment,
 		started:    time.Now(),
 		stack:      s.Stack,
@@ -224,7 +225,7 @@ func (c *Campaign) CellDone(s CellSample) {
 	cell := ManifestCell{
 		Workload:    s.Workload,
 		Machine:     s.Machine,
-		ConfigHash:  HashConfig(s.ConfigJSON),
+		ConfigHash:  cellstore.HashConfig(s.ConfigJSON),
 		Outcome:     OutcomeOK,
 		MemoHit:     s.MemoHit,
 		StoreHit:    s.StoreHit,
@@ -263,9 +264,6 @@ func (c *Campaign) StoreHits() int { return int(c.storeHits.Value()) }
 
 // SimCycles returns the simulated-cycle total so far.
 func (c *Campaign) SimCycles() uint64 { return c.simCycles.Value() }
-
-// Elapsed returns the wall time since the campaign started.
-func (c *Campaign) Elapsed() time.Duration { return time.Since(c.start) }
 
 // CampaignStatusSchema identifies the /campaign JSON document format.
 const CampaignStatusSchema = "portsim-campaign/v1"

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -152,14 +150,6 @@ type ManifestArenas struct {
 	// room.
 	Fallbacks uint64 `json:"fallbacks,omitempty"`
 	Evictions uint64 `json:"evictions,omitempty"`
-}
-
-// HashConfig fingerprints one machine-configuration JSON document. The
-// short hex prefix keeps manifests and filenames readable; 48 bits is
-// plenty for the tens of distinct configurations a campaign holds.
-func HashConfig(cfgJSON []byte) string {
-	sum := sha256.Sum256(cfgJSON)
-	return hex.EncodeToString(sum[:6])
 }
 
 // Validate checks structural integrity: schema, timestamps, per-cell

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"portsim/internal/cellstore"
 )
 
 func sampleCampaign() *Campaign {
@@ -326,17 +324,5 @@ func TestWriteManifestRefusesInvalid(t *testing.T) {
 	m.Schema = "nope"
 	if err := WriteManifest(filepath.Join(t.TempDir(), "m.json"), m); err == nil {
 		t.Fatal("invalid manifest written")
-	}
-}
-
-// TestHashConfigMatchesCellstore pins the deliberate duplication: the
-// durable cell store computes config hashes with its own copy of this
-// algorithm (it must not import the telemetry layer), and resume identity
-// depends on the two never drifting apart.
-func TestHashConfigMatchesCellstore(t *testing.T) {
-	for _, doc := range []string{`{}`, `{"name":"baseline-1port","ports":1}`, ""} {
-		if got, want := cellstore.HashConfig([]byte(doc)), HashConfig([]byte(doc)); got != want {
-			t.Errorf("HashConfig(%q): cellstore %s, telemetry %s", doc, got, want)
-		}
 	}
 }

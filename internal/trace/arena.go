@@ -141,9 +141,6 @@ func (a *Arena) appendRange(src *Arena, lo, hi int) {
 // Len returns the number of instructions held.
 func (a *Arena) Len() int { return len(a.pc) }
 
-// Bytes returns the arena's storage footprint.
-func (a *Arena) Bytes() int64 { return int64(len(a.pc)) * BytesPerInst }
-
 // PCs exposes the packed instruction addresses.
 //
 //portlint:hotpath

@@ -62,9 +62,6 @@ func TestArenaReplayMatchesSource(t *testing.T) {
 	if a.Len() != n {
 		t.Fatalf("Len = %d, want %d", a.Len(), n)
 	}
-	if a.Bytes() != int64(n)*BytesPerInst {
-		t.Fatalf("Bytes = %d, want %d", a.Bytes(), int64(n)*BytesPerInst)
-	}
 
 	cur := a.NewCursor()
 	var got isa.Inst

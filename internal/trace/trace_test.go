@@ -224,7 +224,10 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 				continue
 			}
 			insts = append(insts, in)
-			pc = in.NextPC()
+			pc = in.FallThrough()
+			if in.Redirects() {
+				pc = in.Target
+			}
 		}
 		var buf bytes.Buffer
 		w := NewWriter(&buf)

@@ -173,8 +173,6 @@ type Generator struct {
 	toKernel    int // user instructions until next kernel entry
 	kernelLeft  int // kernel instructions remaining in this episode
 	pendingTrap bool
-
-	emitted uint64
 }
 
 type retSite struct {
@@ -244,9 +242,6 @@ func (g *Generator) exp(mean int) int {
 	return n
 }
 
-// Emitted returns the number of instructions produced so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
-
 // Next implements trace.Stream. The generator never exhausts; wrap it in
 // trace.NewLimit for a bounded run.
 func (g *Generator) Next(in *isa.Inst) bool {
@@ -263,7 +258,6 @@ func (g *Generator) Next(in *isa.Inst) bool {
 		g.emitBody(in, ms)
 		ms.posInBlk++
 	}
-	g.emitted++
 	g.tickKernelCadence(ms)
 	return true
 }

@@ -48,8 +48,6 @@ type Multiprogram struct {
 	// switchPending injects the context-switch marker before the next
 	// process's first instruction.
 	switchPending bool
-	emitted       uint64
-	switches      uint64
 }
 
 // procStream is the per-process instruction source the interleaver pulls
@@ -125,12 +123,6 @@ func (m *Multiprogram) drawQuantum() int {
 	return n
 }
 
-// Processes returns the multiprogramming level.
-func (m *Multiprogram) Processes() int { return len(m.procs) }
-
-// Switches returns the number of context switches performed.
-func (m *Multiprogram) Switches() uint64 { return m.switches }
-
 // Next implements trace.Stream.
 func (m *Multiprogram) Next(in *isa.Inst) bool {
 	if m.switchPending {
@@ -145,13 +137,11 @@ func (m *Multiprogram) Next(in *isa.Inst) bool {
 			Target: kernelCodeBase,
 			Kernel: false,
 		}
-		m.emitted++
 		return true
 	}
 	if m.left <= 0 && len(m.procs) > 1 {
 		m.current = (m.current + 1) % len(m.procs)
 		m.left = m.drawQuantum()
-		m.switches++
 		m.switchPending = true
 		return m.Next(in)
 	}
@@ -161,7 +151,6 @@ func (m *Multiprogram) Next(in *isa.Inst) bool {
 	}
 	m.relocate(in, m.offsets[m.current])
 	m.left--
-	m.emitted++
 	return true
 }
 
@@ -208,6 +197,3 @@ func (m *Multiprogram) relocate(in *isa.Inst, off uint64) {
 		in.Target += off
 	}
 }
-
-// Emitted returns the total instructions produced.
-func (m *Multiprogram) Emitted() uint64 { return m.emitted }

@@ -40,9 +40,6 @@ func TestMultiprogramSingleProcessMatchesGenerator(t *testing.T) {
 			t.Fatalf("inst %d: single-process multiprogram diverged from the raw generator", i)
 		}
 	}
-	if m.Switches() != 0 {
-		t.Errorf("single process context-switched %d times", m.Switches())
-	}
 }
 
 func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
@@ -53,7 +50,8 @@ func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
 	}
 	var in isa.Inst
 	sawOffsets := map[uint64]bool{}
-	syscallMarkers := uint64(0)
+	syscallMarkers, switches := uint64(0), uint64(0)
+	lastSpace := ^uint64(0)
 	for i := 0; i < 100000; i++ {
 		if !m.Next(&in) {
 			t.Fatal("stream ended")
@@ -62,7 +60,12 @@ func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
 			t.Fatalf("inst %d invalid: %v (%v)", i, err, in)
 		}
 		if !in.Kernel {
-			sawOffsets[in.PC/processStride] = true
+			space := in.PC / processStride
+			sawOffsets[space] = true
+			if lastSpace != ^uint64(0) && space != lastSpace {
+				switches++
+			}
+			lastSpace = space
 			if in.Class.IsMem() && in.Addr%processStride >= KernelCodeBase && in.Addr < 8<<30 {
 				t.Fatalf("user access %#x inside kernel range", in.Addr)
 			}
@@ -82,14 +85,14 @@ func TestMultiprogramSwitchesAndRelocates(t *testing.T) {
 	if len(sawOffsets) != 4 {
 		t.Errorf("saw %d process address spaces, want 4", len(sawOffsets))
 	}
-	if m.Switches() < 20 {
-		t.Errorf("only %d switches in 100k instructions at quantum 2000", m.Switches())
+	if switches < 20 {
+		t.Errorf("only %d switches in 100k instructions at quantum 2000", switches)
 	}
-	if syscallMarkers < m.Switches() {
-		t.Errorf("%d switch markers for %d switches", syscallMarkers, m.Switches())
+	if syscallMarkers < switches {
+		t.Errorf("%d switch markers for %d switches", syscallMarkers, switches)
 	}
-	if m.Processes() != 4 {
-		t.Errorf("Processes = %d", m.Processes())
+	if len(m.procs) != 4 {
+		t.Errorf("processes = %d", len(m.procs))
 	}
 }
 
